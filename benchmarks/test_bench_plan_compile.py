@@ -1,7 +1,7 @@
-"""Benchmark: compiled bound programs vs. per-probe MILP rebuilding.
+"""Benchmark: compiled bound programs vs. per-solve MILP rebuilding.
 
 The plan pipeline's acceptance claim: materializing the MILP skeleton once
-and patching parameters makes (a) AVG's binary search and (b) warm batch
+and patching parameters makes (a) AVG's parametric search and (b) warm batch
 traffic at least 2x faster than the pre-pipeline behaviour of rebuilding a
 fresh MILP for every solve — while returning identical ranges.  The
 ``program_reuse=False`` option preserves that old behaviour exactly, so
@@ -69,9 +69,9 @@ def batch_queries() -> list[ContingencyQuery]:
 
 
 @pytest.mark.paper_artifact("plan-compile")
-def test_bench_avg_binary_search_program_reuse(benchmark, report_artifact,
-                                               bench_record):
-    """AVG probes against a compiled skeleton vs. rebuilt-per-probe MILPs."""
+def test_bench_avg_search_program_reuse(benchmark, report_artifact,
+                                        bench_record):
+    """AVG search steps against a compiled skeleton vs. rebuilt MILPs."""
 
     def solver(reuse: bool) -> PCBoundSolver:
         built = PCBoundSolver(partition_pcset(), BoundOptions(
@@ -101,9 +101,9 @@ def test_bench_avg_binary_search_program_reuse(benchmark, report_artifact,
 
     ratio = rebuild_seconds / max(compiled_seconds, 1e-9)
     report_artifact(
-        "AVG binary search: compiled-program reuse vs per-probe rebuild\n"
+        "AVG parametric search: compiled-program reuse vs per-step rebuild\n"
         f"  constraints          : {len(partition_pcset())} (disjoint windows)\n"
-        f"  rebuild per probe    : {rebuild_seconds * 1000:.1f} ms per bound\n"
+        f"  rebuild per step     : {rebuild_seconds * 1000:.1f} ms per bound\n"
         f"  compiled + patched   : {compiled_seconds * 1000:.2f} ms per bound\n"
         f"  speedup              : {ratio:.0f}x")
     bench_record(rebuild_seconds=rebuild_seconds,

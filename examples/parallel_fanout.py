@@ -6,7 +6,7 @@ Run with::
 
 Builds a partitioned constraint set (whose overlap graph splits into many
 independent components), compares the serial and sharded execution paths —
-including the cross-shard AVG binary search — reuses one persistent process
+AVG runs on the serial program either way — reuses one persistent process
 pool across repeated service batches to show the warm worker caches at
 work, and demonstrates the cross-backend verification oracle, including
 what the alarm looks like when a backend is deliberately broken.
@@ -66,7 +66,7 @@ def main() -> None:
         started = time.perf_counter()
         sharded_range = sharded.bound(aggregate, attribute)
         sharded_ms = (time.perf_counter() - started) * 1000
-        note = " (cross-shard search)" if aggregate is AggregateFunction.AVG \
+        note = " (serial program)" if aggregate is AggregateFunction.AVG \
             else ""
         print(f"  {aggregate.value:>5s}: serial {serial_range} "
               f"({serial_ms:.1f} ms)  sharded {sharded_range} "

@@ -407,14 +407,14 @@ def _command_bound(args: argparse.Namespace) -> int:
     for note in plan.trace:
         print(f"                  - {note}")
     if options.solve_workers is not None and options.solve_workers > 1:
-        # Every aggregate parallelises now: COUNT/SUM/MIN/MAX merge shard
-        # ranges, AVG runs the cross-shard binary search — and region
-        # sharding fans the cell enumeration out for one-component sets.
+        # COUNT/SUM/MIN/MAX merge shard ranges; AVG solves on the serial
+        # program (its target couples every cell) — and region sharding
+        # fans the cell enumeration out for one-component sets.
         sharded = analyzer.solver.sharded_plan(query.region, query.attribute)
         if sharded.strategy == "region":
             flavour = "region-split cell enumeration"
         elif query.aggregate is AggregateFunction.AVG:
-            flavour = "cross-shard binary search"
+            flavour = "AVG solved on the serial program"
         else:
             flavour = "merged shard solves"
         # Report the pool the solve actually borrowed: the resolved mode

@@ -13,7 +13,7 @@ merging, budget-driven strategy selection), compiled into a
 layout and MILP skeleton materialized once — and executed by patching
 parameters into that program.  Programs are cached per (region, attribute),
 privately or in a shared LRU supplied by the service layer, so repeated
-queries (and every probe of AVG's binary search) skip model construction
+queries (and every step of AVG's parametric search) skip model construction
 entirely.
 
 One deviation from the paper's informal description is documented here
@@ -500,24 +500,18 @@ class PCBoundSolver:
                                                 max_shards=workers)
                     tracer.annotate(strategy=sharded.strategy,
                                     shards=len(sharded))
-                if sharded.is_sharded and sharded.strategy == "component":
-                    if aggregate in SHARDABLE_AGGREGATES:
-                        with tracer.span("solve.sharded"):
-                            tracer.annotate(shards=len(sharded))
-                            return self._bound_sharded(sharded, aggregate,
-                                                       attribute, region,
-                                                       workers)
-                    if aggregate is AggregateFunction.AVG:
-                        with tracer.span("solve.avg_sharded"):
-                            tracer.annotate(shards=len(sharded))
-                            return self._bound_avg_sharded(
-                                sharded, attribute, region, known_sum,
-                                known_count, workers)
-                # Region-sharded plans deliberately fall through: the serial
-                # program path below compiles against the pool-merged
-                # decomposition (see _decompose_plan), so every aggregate —
-                # AVG included — executes on the serial-identical program
-                # while the enumeration work fanned out.
+                if (sharded.is_sharded and sharded.strategy == "component"
+                        and aggregate in SHARDABLE_AGGREGATES):
+                    with tracer.span("solve.sharded"):
+                        tracer.annotate(shards=len(sharded))
+                        return self._bound_sharded(sharded, aggregate,
+                                                   attribute, region, workers)
+                # Everything else falls through to the serial program.  AVG
+                # does not separate across shards (its target couples every
+                # cell) and its parametric search needs only a handful of
+                # solves.  Region-sharded plans compile the serial program
+                # against the pool-merged decomposition (see
+                # _decompose_plan), so their enumeration still fanned out.
         program = self.program(region, attribute)
         with tracer.span("solve.serial"):
             from ..solvers.batching import batching_enabled
@@ -611,57 +605,6 @@ class PCBoundSolver:
         statistics.degraded_shards = tuple(degraded)
         return merge_shard_ranges(aggregate, ranges, attribute,
                                   statistics=statistics)
-
-    def _bound_avg_sharded(self, sharded, attribute: str | None,
-                           region: Predicate | None, known_sum: float,
-                           known_count: float, workers: int) -> ResultRange:
-        """AVG across shards: the pooled cross-shard binary search.
-
-        Mirrors :meth:`BoundProgram._bound_avg` over the union of the shard
-        programs' active cells (the shard cells partition the full
-        program's cells, so the edge cases and the search interval are
-        identical), then runs the probe loop through the pool — one
-        reduction of per-shard ``value − target`` optima per iteration
-        (:func:`repro.parallel.pool.sharded_avg_range`).
-        """
-        import math as _math
-
-        from ..parallel.pool import sharded_avg_range
-        from ..plan.sharding import merge_shard_statistics
-
-        aggregate = AggregateFunction.AVG
-        keyed = self._keyed_shard_programs(sharded, region, attribute)
-        statistics = merge_shard_statistics(
-            program.decomposition.statistics for _, program in keyed)
-
-        def result(lower, upper):
-            return ResultRange(lower, upper, aggregate, attribute,
-                               statistics=statistics)
-
-        active = [profile for _, program in keyed
-                  for profile in program.active_profiles]
-        if not active:
-            if known_count > 0:
-                average = known_sum / known_count
-                return result(average, average)
-            return result(None, None)
-        uppers = [profile.value_upper for profile in active]
-        lowers = [profile.value_lower for profile in active]
-        if any(_math.isinf(value) for value in uppers + lowers):
-            return result(-_INF, _INF)
-        mandatory = any(program.pcset.has_mandatory_rows()
-                        for _, program in keyed)
-        if not mandatory and known_count == 0:
-            return result(min(lowers), max(uppers))
-        known = [known_sum / known_count] if known_count else []
-        high_start = max(uppers + known)
-        low_start = min(lowers + known)
-        lower, upper = sharded_avg_range(
-            self.borrow_pool(workers), keyed, known_sum, known_count,
-            low_start, high_start,
-            tolerance=self._options.avg_tolerance,
-            max_iterations=self._options.avg_max_iterations)
-        return result(lower, upper)
 
     def _cross_check(self, result: ResultRange, aggregate: AggregateFunction,
                      attribute: str | None, region: Predicate | None,

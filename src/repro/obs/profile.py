@@ -282,8 +282,8 @@ class QueryProfile:
         tasks = 0
         cells = 0.0
         for node in self.root.walk():
-            if node.name in ("pool.solve_batch", "pool.probe_batch",
-                             "pool.decompose_batch", "pool.analyze_batch"):
+            if node.name in ("pool.solve_batch", "pool.decompose_batch",
+                             "pool.analyze_batch"):
                 tasks += 1
                 value = node.attributes.get("cells")
                 if isinstance(value, (int, float)) \

@@ -23,10 +23,9 @@ features that previously had no safe seam:
 ``pool``
     :class:`WorkerPool`, the persistent runtime on top of those ideas:
     long-lived workers with warm per-worker program caches keyed by the
-    parent's fingerprints, affinity routing, a warm-up protocol, restart on
-    worker death, and the cross-shard AVG binary search
-    (:func:`~repro.parallel.pool.sharded_avg_range`).  The service owns
-    one; bare solvers and the CLI borrow process-global shared pools.
+    parent's fingerprints, affinity routing, a warm-up protocol and restart
+    on worker death.  The service owns one; bare solvers and the CLI borrow
+    process-global shared pools.
 ``verify``
     Cross-backend verification: solve one program on two registry backends
     and intersect the ranges.  Two sound ranges always intersect, so a

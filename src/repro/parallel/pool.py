@@ -31,13 +31,6 @@ one backend choice), ``"thread"`` (shared-memory fan-out, the default), and
 already running inside a pool worker (process or thread) executes inline
 instead of re-entering a pool, so a pooled analyzer whose options request
 fan-out can never recurse into worker-spawning.
-
-The cross-shard AVG search (:func:`sharded_avg_range`) lives here too: the
-paper's §4.2 binary search couples every cell through the shared target, but
-for a *fixed* target the ``value − target`` objective separates across plan
-shards, so each probe is one pooled fan-out plus one reduction over the
-per-shard optima — the one aggregate plan sharding previously routed
-serially.
 """
 
 from __future__ import annotations
@@ -68,8 +61,7 @@ from .stealing import resolve_stealing
 
 __all__ = ["WorkerPool", "PoolStatistics", "shared_pool",
            "shutdown_shared_pools", "default_pool_mode", "default_pool_workers",
-           "in_worker", "in_pool_thread", "register_for_reaping",
-           "sharded_avg_range"]
+           "in_worker", "in_pool_thread", "register_for_reaping"]
 
 _MODES = ("serial", "thread", "process", "auto")
 
@@ -233,13 +225,6 @@ def _handle_solve(programs, sessions, task):
     return (result.lower, result.upper, result.closed)
 
 
-def _handle_probe(programs, sessions, task):
-    _, _, key, program, target, at_least, with_floor = task
-    program = _resolve_program(programs, key, program)
-    return program.avg_probe_optima(target, at_least=at_least,
-                                    with_floor=with_floor)
-
-
 def _handle_decompose(programs, sessions, task):
     """One region shard's cell enumeration (the region-sharding fan-out).
 
@@ -266,15 +251,6 @@ def _handle_solve_batch(programs, sessions, task):
     get_tracer().annotate(cells=len(requests))
     results = program.bound_batch(list(requests))
     return [(result.lower, result.upper, result.closed) for result in results]
-
-
-def _handle_probe_batch(programs, sessions, task):
-    """Every AVG probe of one search round against one shard's program —
-    the whole round's coefficient matrix solves in one kernel entry."""
-    _, _, key, program, probes = task
-    program = _resolve_program(programs, key, program)
-    get_tracer().annotate(cells=len(probes))
-    return program.avg_probe_optima_batch(list(probes))
 
 
 def _handle_decompose_batch(programs, sessions, task):
@@ -344,11 +320,9 @@ _HANDLERS = {
     "warm": _handle_warm,
     "register": _handle_register,
     "solve": _handle_solve,
-    "probe": _handle_probe,
     "decompose": _handle_decompose,
     "analyze": _handle_analyze,
     "solve_batch": _handle_solve_batch,
-    "probe_batch": _handle_probe_batch,
     "decompose_batch": _handle_decompose_batch,
     "analyze_batch": _handle_analyze_batch,
 }
@@ -359,11 +333,9 @@ _TASK_SPANS = {
     "warm": "pool.warm",
     "register": "pool.register",
     "solve": "pool.solve",
-    "probe": "pool.probe",
     "decompose": "pool.decompose",
     "analyze": "pool.analyze",
     "solve_batch": "pool.solve_batch",
-    "probe_batch": "pool.probe_batch",
     "decompose_batch": "pool.decompose_batch",
     "analyze_batch": "pool.analyze_batch",
 }
@@ -587,8 +559,7 @@ _BACKLOG_LIMIT = 4 * _MAX_IN_FLIGHT_PER_WORKER
 #: self-contained (no program shipping), and the program-addressed kinds
 #: re-ship through the ordinary warm-key bookkeeping; the analyze kinds stay
 #: pinned because moving them drags a whole session registration along.
-_STEALABLE_KINDS = ("decompose", "decompose_batch", "solve", "probe",
-                    "solve_batch", "probe_batch")
+_STEALABLE_KINDS = ("decompose", "decompose_batch", "solve", "solve_batch")
 
 #: Of those, the kinds that carry no program at all — the cheapest steals,
 #: preferred by victim-side selection so warm caches stay warm.
@@ -740,8 +711,7 @@ class WorkerPool:
     @property
     def live_tasks(self) -> int:
         """Work items currently executing or dispatched across every entry
-        point (process rounds and thread fan-outs alike) — the live-load
-        signal :meth:`speculative_capacity` gates on."""
+        point (process rounds and thread fan-outs alike)."""
         with self._statistics_lock:
             return self._live_tasks
 
@@ -1083,79 +1053,6 @@ class WorkerPool:
                 deadline=deadline.seconds, elapsed=deadline.elapsed(),
                 completed=completed, pending=total - completed)
 
-    def avg_probes(self, keyed_programs: Sequence[tuple],
-                   probes: Sequence[tuple]) -> list[list[tuple]]:
-        """One cross-shard reduction round of the AVG binary search.
-
-        ``probes`` is a sequence of ``(target, at_least, with_floor)``
-        triples (typically the upper- and lower-search midpoints of one
-        iteration).  Returns, per probe, the per-shard
-        ``(free_optimum, floor_optimum)`` pairs in shard order.
-
-        With batching enabled, the whole round ships as **one task per
-        shard** (the ``probe_batch`` kind): every probe's coefficient row
-        solves against the shard's warm skeleton in one kernel entry,
-        instead of one task per (probe, shard) pair.
-        """
-        if batching_enabled() and probes and keyed_programs:
-            return self._avg_probes_batched(list(keyed_programs),
-                                            [tuple(probe) for probe in probes])
-
-        def run_one(item):
-            (key, program), (target, at_least, with_floor) = item
-            return program.avg_probe_optima(target, at_least=at_least,
-                                            with_floor=with_floor)
-
-        flat = [(pair, probe) for probe in probes for pair in keyed_programs]
-        self._record_batch_traffic(len(flat), len(flat))
-        if self._inline() or len(flat) <= 1:
-            outcomes = [run_one(item) for item in flat]
-        elif self._mode == "thread":
-            outcomes = self._thread_map(run_one, flat, label="pool.probe")
-        else:
-            requests = [
-                ("probe", pair[0],
-                 (pair[0], pair[1]) + probe, position)
-                for position, (pair, probe) in enumerate(flat)]
-            results = self._locked_round(requests)
-            outcomes = [results[position] for position in range(len(flat))]
-        width = len(keyed_programs)
-        return [outcomes[start:start + width]
-                for start in range(0, len(outcomes), width)]
-
-    def _avg_probes_batched(self, keyed_programs: list,
-                            probes: list) -> list[list[tuple]]:
-        """One ``probe_batch`` task per shard for a whole search round."""
-        shards = len(keyed_programs)
-
-        def run_shard(pair):
-            _key, program = pair
-            get_tracer().annotate(cells=len(probes))
-            return program.avg_probe_optima_batch(probes)
-
-        self._record_batch_traffic(shards, shards * len(probes))
-        if self._inline() or shards <= 1:
-            tracer = get_tracer()
-            per_shard = []
-            for position, pair in enumerate(keyed_programs):
-                with tracer.span("pool.probe_batch"):
-                    if shards > 1:
-                        tracer.annotate(shard=position)
-                    per_shard.append(run_shard(pair))
-        elif self._mode == "thread":
-            per_shard = self._thread_map(run_shard, keyed_programs,
-                                         label="pool.probe_batch",
-                                         shard_attr=True)
-        else:
-            probe_tuple = tuple(probes)
-            requests = [
-                ("probe_batch", key, (key, program, probe_tuple), position)
-                for position, (key, program) in enumerate(keyed_programs)]
-            results = self._locked_round(requests)
-            per_shard = [results[position] for position in range(shards)]
-        return [[per_shard[shard][index] for shard in range(shards)]
-                for index in range(len(probes))]
-
     def decompose_shards(self, keyed_tasks: Sequence[tuple],
                          batch_size: int | None = None) -> list:
         """Enumerate every region shard's cells, in order.
@@ -1242,21 +1139,6 @@ class WorkerPool:
             for position, value in zip(positions, values):
                 results[position] = value
         return results
-
-    def speculative_capacity(self, base_tasks: int) -> bool:
-        """Whether the pool can absorb work beyond ``base_tasks`` concurrent
-        tasks — the gate for speculative AVG probing, which trades redundant
-        solves for halved search round-trips only when workers would
-        otherwise idle.
-
-        Gated on *live* idle capacity, not just pool width: tasks already in
-        flight from concurrent queries occupy workers, and speculating into
-        a busy pool adds redundant solves to the shared critical path
-        instead of filling idle slots.
-        """
-        if self._mode == "serial" or in_worker() or in_pool_thread():
-            return False
-        return self._max_workers - self.live_tasks > base_tasks
 
     def analyze(self, session_key, analyzer,
                 keyed_queries: Sequence[tuple]) -> list:
@@ -1555,7 +1437,7 @@ class WorkerPool:
             # EXPLAIN ANALYZE, not just in the aggregate counters.
             root.attributes.setdefault("attempts", task.attempts)
         if task.position is not None and task.kind in (
-                "solve", "decompose", "solve_batch", "probe_batch"):
+                "solve", "decompose", "solve_batch"):
             root.attributes.setdefault("shard", task.position)
 
     def _feed_backlogs(self, backlogs: dict, overflow: deque,
@@ -1700,7 +1582,7 @@ class WorkerPool:
         program attached; returns False (caller raises) when there is
         nothing to re-ship or the task keeps failing.
         """
-        if task.kind not in ("solve", "probe", "solve_batch", "probe_batch"):
+        if task.kind not in ("solve", "solve_batch"):
             return False
         key, program = task.args[0], task.args[1]
         if program is None or task.attempts >= _MAX_TASK_ATTEMPTS:
@@ -1780,19 +1662,10 @@ class WorkerPool:
             shipped = self._maybe_ship(worker, key, program)
             return ("solve", task_id, key, shipped, aggregate,
                     known_sum, known_count)
-        if kind == "probe":
-            key, program, target, at_least, with_floor = args
-            shipped = self._maybe_ship(worker, key, program)
-            return ("probe", task_id, key, shipped, target, at_least,
-                    with_floor)
         if kind == "solve_batch":
             key, program, batch_requests = args
             shipped = self._maybe_ship(worker, key, program)
             return ("solve_batch", task_id, key, shipped, batch_requests)
-        if kind == "probe_batch":
-            key, program, probe_tuple = args
-            shipped = self._maybe_ship(worker, key, program)
-            return ("probe_batch", task_id, key, shipped, probe_tuple)
         if kind in ("decompose", "decompose_batch"):
             # Self-contained: no program shipping or warm bookkeeping.
             return (kind, task_id) + args
@@ -1943,162 +1816,3 @@ def shutdown_shared_pools() -> None:
         for pool in _shared_pools.values():
             pool.shutdown()
         _shared_pools.clear()
-
-
-# --------------------------------------------------------------------- #
-# Cross-shard AVG: pooled binary search (paper §4.2, sharded)
-# --------------------------------------------------------------------- #
-def _achievable(per_shard: list[tuple], at_least: bool, with_floor: bool,
-                constant: float) -> bool:
-    """Reduce one probe's per-shard optima to the serial model's decision.
-
-    The free optima sum (the objective and every frequency row separate
-    across shards).  The floor row — "allocate at least one row somewhere",
-    active only when there is no observed partition — is the one cross-shard
-    constraint; its feasible set is the union over "shard *j* carries the
-    row", so the floored optimum is the best over *j* of (floored shard *j*
-    + free everyone else).  ``None`` optima mean an infeasible shard model,
-    exactly where the serial search's ``SolverError`` catch says False.
-    """
-    frees = [free for free, _ in per_shard]
-    if any(free is None for free in frees):
-        return False
-    total_free = sum(frees)
-    if not with_floor:
-        optimum = total_free
-    else:
-        best = None
-        for free, floor in per_shard:
-            if floor is None:
-                continue
-            candidate = total_free - free + floor
-            if best is None:
-                best = candidate
-            elif at_least:
-                best = max(best, candidate)
-            else:
-                best = min(best, candidate)
-        if best is None:
-            return False
-        optimum = best
-    value = optimum + constant
-    return value >= -1e-9 if at_least else value <= 1e-9
-
-
-class _DirectedAvgSearch:
-    """One direction of the AVG binary search (upper when ``at_least``).
-
-    Mirrors :meth:`repro.plan.program.BoundProgram._avg_search` exactly —
-    same open/close test, same midpoint, same interval update — so the
-    pooled search's decision sequence is the serial search's bit-for-bit.
-    ``probes`` counts consumed probe results (speculative children included
-    once consumed), bounded by the serial search's iteration budget.
-    """
-
-    def __init__(self, low: float, high: float, at_least: bool):
-        self.low = low
-        self.high = high
-        self.at_least = at_least
-        self.probes = 0
-
-    def open(self, tolerance: float) -> bool:
-        return (self.high - self.low
-                > tolerance * max(1.0, abs(self.high), abs(self.low)))
-
-    @property
-    def midpoint(self) -> float:
-        return (self.low + self.high) / 2.0
-
-    def apply(self, midpoint: float, achievable: bool) -> None:
-        self.probes += 1
-        if achievable == self.at_least:
-            self.low = midpoint
-        else:
-            self.high = midpoint
-
-    @property
-    def conservative(self) -> float:
-        """The endpoint that always contains the true extreme average."""
-        return self.high if self.at_least else self.low
-
-
-def sharded_avg_range(pool: WorkerPool, keyed_programs: Sequence[tuple],
-                      known_sum: float, known_count: float,
-                      low_start: float, high_start: float,
-                      tolerance: float, max_iterations: int,
-                      speculative: bool | None = None
-                      ) -> tuple[float, float]:
-    """The (lower, upper) extreme achievable averages, searched across shards.
-
-    Runs the upper and lower binary searches in lockstep: each iteration
-    fans one probe per active search per shard out over the pool and folds
-    the per-shard ``value − target`` optima with one reduction — the
-    communication pattern that makes AVG, the one non-separable aggregate,
-    scale out with the rest of the sharded plan.  The probe decisions are
-    the serial search's decisions exactly, so the returned endpoints match
-    the single-program path (same midpoints, same conservative rounding).
-
-    ``speculative`` additionally evaluates *both* children of each active
-    midpoint one level ahead in the same round: whichever way the parent
-    probe decides, the next midpoint's verdict is already in hand, so the
-    search consumes two levels per round-trip — halving rounds on
-    high-latency pools at the price of one discarded probe per search per
-    round.  Defaults to :meth:`WorkerPool.speculative_capacity` (speculate
-    only when workers would otherwise idle).  Decisions, midpoints and
-    endpoints are unchanged: a child midpoint is computed from the same
-    operands the serial search would use, and the per-search probe budget
-    still caps total consumed probes at ``max_iterations``.
-    """
-    with_floor = known_count == 0
-    searches = [_DirectedAvgSearch(low_start, high_start, at_least=True),
-                _DirectedAvgSearch(low_start, high_start, at_least=False)]
-    if speculative is None:
-        speculative = pool.speculative_capacity(
-            2 * max(1, len(keyed_programs)))
-    while True:
-        probes: list[tuple] = []
-        owners: list[tuple] = []
-        for search in searches:
-            if search.probes >= max_iterations or not search.open(tolerance):
-                continue
-            midpoint = search.midpoint
-            probes.append((midpoint, search.at_least, with_floor))
-            owners.append((search, midpoint))
-            if speculative and search.probes + 1 < max_iterations:
-                # The two possible next midpoints, computed from the same
-                # operands the serial search will use after deciding the
-                # parent — float-identical to the post-decision midpoint.
-                for child in ((search.low + midpoint) / 2.0,
-                              (midpoint + search.high) / 2.0):
-                    probes.append((child, search.at_least, with_floor))
-                    owners.append((search, child))
-        if not probes:
-            break
-        tracer = get_tracer()
-        with tracer.span("avg.round"):
-            tracer.annotate(probes=len(probes), shards=len(keyed_programs))
-            outcomes = pool.avg_probes(keyed_programs, probes)
-        verdicts: dict[tuple, bool] = {}
-        parents: dict[int, float] = {}
-        for (search, target), outcome in zip(owners, outcomes):
-            constant = known_sum - target * known_count
-            verdicts[(id(search), target)] = _achievable(
-                outcome, search.at_least, with_floor, constant)
-            parents.setdefault(id(search), target)
-        for search in searches:
-            parent = parents.get(id(search))
-            if parent is None:
-                continue
-            search.apply(parent, verdicts[(id(search), parent)])
-            if not speculative:
-                continue
-            # Consume the pre-computed child verdict when the search is
-            # still open and has budget — exactly one extra serial step.
-            if search.probes >= max_iterations or not search.open(tolerance):
-                continue
-            child = search.midpoint
-            verdict = verdicts.get((id(search), child))
-            if verdict is not None:
-                search.apply(child, verdict)
-    # Conservative endpoints, exactly like the serial search.
-    return searches[1].conservative, searches[0].conservative

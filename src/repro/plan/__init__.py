@@ -17,8 +17,8 @@ physical execution:
 ``program``
     :class:`BoundProgram`, the compiled physical artifact: the cell
     decomposition, per-cell profiles, slack variables and the MILP skeleton
-    are materialized once; executions (including every probe of AVG's
-    binary search) only patch objective parameters.  Programs are immutable
+    are materialized once; executions (including every step of AVG's
+    parametric search) only patch objective parameters.  Programs are immutable
     after compilation and safe to share across threads, which is what lets
     the service layer LRU-cache them alongside decompositions.
 ``sharding``

@@ -14,7 +14,7 @@ pair.  Compilation materializes, exactly once:
   coupling rows, frozen into a :class:`~repro.solvers.milp.CompiledMILP`.
 
 Executions then only patch parameters: SUM/COUNT swap objective vectors,
-AVG's binary search swaps the ``value - target`` objective per probe, and
+AVG's parametric search swaps the ``value - target`` objective per step, and
 MIN/MAX read precompiled extrema.  This is what makes compiled-program
 reuse cheap enough for the service layer to treat programs as cacheable
 values alongside decompositions.
@@ -61,6 +61,10 @@ _ACTIVE_FLOOR = "active-floor"
 # Batch-size histogram buckets: row counts per kernel entry, not latencies.
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
                        512.0)
+
+# AVG search histogram buckets: solves per search side.
+_AVG_ITERATION_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0,
+                          64.0)
 
 
 @dataclass(frozen=True)
@@ -212,6 +216,16 @@ class _Skeleton:
             results.append((solution.status, solution.objective))
         return results
 
+    def solve_certified(self, cell_coefficients: np.ndarray, sense: Sense
+                        ) -> tuple[SolutionStatus, float | None,
+                                   np.ndarray | None, float | None]:
+        """``(status, primal, x, dual)`` for the AVG search, on whichever
+        path this skeleton solves (see :func:`_certified`)."""
+        objective = {name: float(value)
+                     for name, value in zip(self._cell_names, cell_coefficients)}
+        return _certified(self.solve_solution(objective, sense),
+                          self._cell_names)
+
     def solve_solution(self, coefficients: dict[str, float],
                        sense: Sense) -> LPSolution:
         """Optimise and return the full per-variable solution (explanations)."""
@@ -224,6 +238,25 @@ class _Skeleton:
         model = self._materialize(objective, sense)
         backend = "greedy" if self._pure_box else self._backend
         return solve_milp(model, backend=backend)
+
+
+def _certified(solution: LPSolution, cell_names: Sequence[str]
+               ) -> tuple[SolutionStatus, float | None, np.ndarray | None,
+                          float | None]:
+    """Unpack a solve into ``(status, primal, x, dual)``.
+
+    ``x`` is the incumbent allocation over ``cell_names`` (slack dropped).
+    The dual is the backend's proven bound when it reports one (HiGHS's MIP
+    dual bound), else its objective: greedy and branch-and-bound are exact,
+    and the relaxation's LP optimum bounds the integer one from the right
+    side.  ``x`` and ``dual`` are None unless the status is OPTIMAL.
+    """
+    if solution.status is not SolutionStatus.OPTIMAL or solution.objective is None:
+        return solution.status, None, None, None
+    x = np.array([solution.values.get(name, 0.0) for name in cell_names])
+    dual = (solution.objective if solution.dual_bound is None
+            else solution.dual_bound)
+    return solution.status, solution.objective, x, dual
 
 
 class BoundProgram:
@@ -294,16 +327,6 @@ class BoundProgram:
     @property
     def profiles(self) -> list[CellProfile]:
         return list(self._profiles)
-
-    @property
-    def active_profiles(self) -> list[CellProfile]:
-        """The cells that can actually hold rows (capacity > 0).
-
-        The cross-shard AVG search unions these across shard programs to
-        reproduce the serial program's active-cell edge cases (no active
-        cells, infinite value bounds, search start interval).
-        """
-        return list(self._active)
 
     @property
     def pcset(self) -> PredicateConstraintSet:
@@ -433,9 +456,11 @@ class BoundProgram:
             model.add_constraint(terms, lower=low, upper=high)
         return model
 
-    def _rebuild_objective(self, variant: str, coefficients: dict[int, float],
-                           sense: Sense) -> tuple[SolutionStatus, float | None]:
+    def _rebuild_solution(self, variant: str, cell_coefficients: np.ndarray,
+                          sense: Sense) -> LPSolution:
         profiles = self._profiles if variant == _FULL else self._active
+        coefficients = {profile.index: float(value) for profile, value
+                        in zip(profiles, cell_coefficients)}
         extra = None
         if variant == _ACTIVE_FLOOR:
             extra = [({f"x{p.index}": 1.0 for p in profiles}, 1.0, _INF)]
@@ -443,7 +468,11 @@ class BoundProgram:
         backend = self._backend
         if model.is_pure_box_problem():
             backend = "greedy"
-        solution = solve_milp(model, backend=backend)
+        return solve_milp(model, backend=backend)
+
+    def _rebuild_objective(self, variant: str, cell_coefficients: np.ndarray,
+                           sense: Sense) -> tuple[SolutionStatus, float | None]:
+        solution = self._rebuild_solution(variant, cell_coefficients, sense)
         return solution.status, solution.objective
 
     # ------------------------------------------------------------------ #
@@ -460,11 +489,8 @@ class BoundProgram:
             status, objective = self._skeleton(variant).solve_objective(
                 cell_coefficients, sense)
         else:
-            profiles = self._profiles if variant == _FULL else self._active
-            coefficients = {profile.index: float(value) for profile, value
-                            in zip(profiles, cell_coefficients)}
-            status, objective = self._rebuild_objective(variant, coefficients,
-                                                        sense)
+            status, objective = self._rebuild_objective(
+                variant, cell_coefficients, sense)
         if status is SolutionStatus.INFEASIBLE:
             raise SolverError(
                 "the predicate-constraint set is unsatisfiable: no allocation of "
@@ -484,21 +510,16 @@ class BoundProgram:
         the kernel entry is chunked only when ``REPRO_SOLVE_BATCH_SIZE``
         forces a fixed size (the degenerate size-1 case routes every row
         through its own kernel entry, pinning batched == per-cell).  Returns
-        raw per-row ``(status, objective)`` pairs so callers can apply
-        either the bound policy (:meth:`_checked_value`) or the probe
-        policy (:meth:`_probe_value`).
+        raw per-row ``(status, objective)`` pairs; callers apply the status
+        policy (:meth:`_checked_value`).
         """
         count = len(rows)
         if count == 0:
             return []
         get_tracer().add("solver_calls", count)
         if not self._reuse:
-            profiles = self._profiles if variant == _FULL else self._active
-            return [self._rebuild_objective(
-                variant,
-                {profile.index: float(value)
-                 for profile, value in zip(profiles, row)},
-                sense) for row in rows]
+            return [self._rebuild_objective(variant, row, sense)
+                    for row in rows]
         skeleton = self._skeleton(variant)
         if not batching_enabled():
             return [skeleton.solve_objective(np.asarray(row, dtype=float),
@@ -534,17 +555,19 @@ class BoundProgram:
             raise SolverError(f"MILP solve failed with status {status.value}")
         return objective
 
-    @staticmethod
-    def _probe_value(status: SolutionStatus, objective: float | None,
-                     sense: Sense) -> float | None:
-        """:meth:`avg_probe_optima`'s policy: infeasible/failed probes map
-        to None (the serial search's ``SolverError`` catch), unbounded to
-        the signed infinity :meth:`_solve_value` would return."""
-        if status is SolutionStatus.UNBOUNDED:
-            return _INF if sense is Sense.MAXIMIZE else -_INF
-        if status is not SolutionStatus.OPTIMAL or objective is None:
-            return None
-        return objective
+    def _solve_certified(self, variant: str, cell_coefficients: np.ndarray,
+                         sense: Sense) -> tuple[SolutionStatus, float | None,
+                                                np.ndarray | None,
+                                                float | None]:
+        """``(status, primal, x, dual)`` on either solve path (AVG search)."""
+        get_tracer().add("solver_calls", 1)
+        if self._reuse:
+            return self._skeleton(variant).solve_certified(cell_coefficients,
+                                                           sense)
+        profiles = self._profiles if variant == _FULL else self._active
+        return _certified(
+            self._rebuild_solution(variant, cell_coefficients, sense),
+            [f"x{profile.index}" for profile in profiles])
 
     def solve_for_explanation(self, coefficients: dict[int, float]
                               ) -> LPSolution:
@@ -653,8 +676,8 @@ class BoundProgram:
         kernel entries — one :meth:`_skeleton` lookup and one lock
         acquisition per group — instead of one solver invocation per
         objective.  MIN/MAX read compiled extrema (no solver calls) and
-        AVG runs its serial binary search (its batching lever is the
-        cross-shard probe batch, :meth:`avg_probe_optima_batch`).  Results
+        AVG runs its parametric search (each step depends on the last, so
+        there is nothing to batch).  Results
         are bit-identical to calling :meth:`bound` per request: the edge
         cases, coefficient vectors and status policy are the serial
         methods' own, only the solver entry count changes.
@@ -839,7 +862,7 @@ class BoundProgram:
             self._forced_extrema[want_max] = best
         return best
 
-    # AVG (binary search, paper §4.2) ------------------------------------ #
+    # AVG (certified parametric search) -------------------------------- #
     def _bound_avg(self, known_sum: float, known_count: float) -> ResultRange:
         attribute = self._attribute
         if not self._active:
@@ -862,125 +885,77 @@ class BoundProgram:
 
         high_start = max(uppers + ([known_sum / known_count] if known_count else []))
         low_start = min(lowers + ([known_sum / known_count] if known_count else []))
-        upper = self._avg_search(known_sum, known_count, low_start, high_start,
-                                 find_upper=True)
-        lower = self._avg_search(known_sum, known_count, low_start, high_start,
-                                 find_upper=False)
+        upper = self._avg_extreme(known_sum, known_count, low_start, high_start,
+                                  maximise=True)
+        lower = self._avg_extreme(known_sum, known_count, low_start, high_start,
+                                  maximise=False)
         return self._range(lower, upper, AggregateFunction.AVG, attribute)
 
-    def _avg_search(self, known_sum: float, known_count: float,
-                    low_start: float, high_start: float,
-                    find_upper: bool) -> float:
-        """Binary search for the extreme achievable average."""
+    def _avg_extreme(self, known_sum: float, known_count: float,
+                     low_start: float, high_start: float,
+                     maximise: bool) -> float:
+        """The extreme achievable average, by Dinkelbach's parametric search.
+
+        An allocation ``x`` averages ``(known_sum + v·x) / (known_count +
+        Σx)`` with the observed rows.  For a target ``λ`` the subproblem
+        optimises ``(v − λ)·x`` over the active skeleton (with the "at least
+        one row" floor when nothing is observed).  Each step moves ``λ`` to
+        the average of the allocation just found, which climbs onto the
+        extreme in a handful of solves where the paper's bisection (§4.2)
+        halves an interval ~20 times.
+
+        Every solve also certifies an endpoint.  With ``D`` the solver's
+        proven bound on the subproblem optimum, any feasible ``x`` has
+        ``average(x) − λ ≤ max(0, D + known_sum − λ·known_count) /
+        known_count`` (denominator 1 under the floor row), so ``λ + gap``
+        contains the true maximum however good the incumbent was.  The
+        search stops once the gap is within ``avg_tolerance``, when ``λ``
+        stops moving, or when the iteration budget runs out, and returns the
+        tightest certified endpoint seen.  The lower side mirrors all of it.
+        An infeasible subproblem returns the start endpoint, an unbounded or
+        failed one the far endpoint — the bisection's answers for them.
+        """
         tolerance = self._avg_tolerance
-        tracer = get_tracer()
-        low, high = low_start, high_start
-        for _ in range(self._avg_max_iterations):
-            if high - low <= tolerance * max(1.0, abs(high), abs(low)):
-                break
-            midpoint = (low + high) / 2.0
-            with tracer.span("avg.round"):
-                tracer.annotate(target=midpoint, upper=find_upper)
-                achievable = self._average_achievable(
-                    known_sum, known_count, midpoint, at_least=find_upper)
-            if achievable:
-                if find_upper:
-                    low = midpoint
-                else:
-                    high = midpoint
-            else:
-                if find_upper:
-                    high = midpoint
-                else:
-                    low = midpoint
-        # Return the conservative endpoint so the reported range always
-        # contains the true extreme average despite the finite tolerance.
-        return high if find_upper else low
-
-    def avg_probe_optima(self, target: float, *, at_least: bool,
-                         with_floor: bool
-                         ) -> tuple[float | None, float | None]:
-        """One shard's contribution to a cross-shard AVG probe.
-
-        Returns ``(free, floor)``: the optimum of the ``value − target``
-        objective over this program's active skeleton without and (when
-        ``with_floor``) with the "at least one allocated row" floor row.
-        ``None`` marks an infeasible model — the same condition the serial
-        search's ``SolverError`` catch maps to an unachievable probe.  The
-        reduction over shards lives in :func:`repro.parallel.pool.
-        sharded_avg_range`; the free optima are additive and the floored
-        optimum is the best over which shard carries the floor row.
-        """
-        values = self._active_uppers if at_least else self._active_lowers
-        coefficients = values - target
-        sense = Sense.MAXIMIZE if at_least else Sense.MINIMIZE
-        try:
-            free = self._solve_value(_ACTIVE, coefficients, sense)
-        except SolverError:
-            free = None
-        floor: float | None = None
-        if with_floor and self._active:
-            try:
-                floor = self._solve_value(_ACTIVE_FLOOR, coefficients, sense)
-            except SolverError:
-                floor = None
-        return free, floor
-
-    def avg_probe_optima_batch(self, probes: Sequence[tuple]
-                               ) -> list[tuple[float | None, float | None]]:
-        """Batched :meth:`avg_probe_optima`: all probes, few kernel entries.
-
-        ``probes`` is a sequence of ``(target, at_least, with_floor)``
-        triples — one cross-shard search iteration's parent midpoints plus
-        both speculative children travel together.  Rows are grouped by
-        (skeleton variant, sense), so the whole probe set costs at most
-        four kernel entries (one :meth:`_skeleton` lookup and one lock
-        acquisition each) instead of up to two solver invocations per
-        probe.  Per-probe results match :meth:`avg_probe_optima` exactly:
-        infeasible rows come back None, unbounded rows as signed infinity.
-        """
-        results: list[list[float | None]] = [[None, None] for _ in probes]
-        rows: dict[tuple[str, Sense], list[np.ndarray]] = {}
-        slots: dict[tuple[str, Sense], list[tuple[int, int]]] = {}
-        for position, (target, at_least, with_floor) in enumerate(probes):
-            values = self._active_uppers if at_least else self._active_lowers
-            coefficients = values - target
-            sense = Sense.MAXIMIZE if at_least else Sense.MINIMIZE
-            group = (_ACTIVE, sense)
-            rows.setdefault(group, []).append(coefficients)
-            slots.setdefault(group, []).append((position, 0))
-            if with_floor and self._active:
-                group = (_ACTIVE_FLOOR, sense)
-                rows.setdefault(group, []).append(coefficients)
-                slots.setdefault(group, []).append((position, 1))
-        for group, group_rows in rows.items():
-            variant, sense = group
-            outcomes = self._solve_rows(variant, group_rows, sense)
-            for (position, slot), (status, objective) in zip(slots[group],
-                                                             outcomes):
-                results[position][slot] = self._probe_value(status, objective,
-                                                            sense)
-        return [(free, floor) for free, floor in results]
-
-    def _average_achievable(self, known_sum: float, known_count: float,
-                            target: float, at_least: bool) -> bool:
-        """Is there an allocation whose combined average is >= (or <=) target?
-
-        The per-probe parameter patch: objective ``value - target`` over the
-        active cells, solved against the compiled skeleton.
-        """
-        values = self._active_uppers if at_least else self._active_lowers
-        coefficients = values - target
+        start, far = ((low_start, high_start) if maximise
+                      else (high_start, low_start))
+        budget = self._avg_max_iterations
+        if high_start - low_start <= tolerance * max(1.0, abs(high_start),
+                                                     abs(low_start)):
+            budget = 0  # the start interval is already within tolerance
+        values = self._active_uppers if maximise else self._active_lowers
         variant = _ACTIVE_FLOOR if known_count == 0 else _ACTIVE
-        sense = Sense.MAXIMIZE if at_least else Sense.MINIMIZE
-        try:
-            optimum = self._solve_value(variant, coefficients, sense)
-        except SolverError:
-            return False
-        constant = known_sum - target * known_count
-        if at_least:
-            return optimum + constant >= -1e-9
-        return optimum + constant <= 1e-9
+        sense = Sense.MAXIMIZE if maximise else Sense.MINIMIZE
+        sign = 1.0 if maximise else -1.0
+        denominator = known_count if known_count > 0 else 1.0
+        tracer = get_tracer()
+        target, endpoint, solves = start, far, 0
+        for _ in range(budget):
+            solves += 1
+            with tracer.span("avg.round"):
+                tracer.annotate(target=target, upper=maximise)
+                status, _primal, x, dual = self._solve_certified(
+                    variant, values - target, sense)
+                if status is SolutionStatus.INFEASIBLE:
+                    endpoint = start
+                    break
+                if status is not SolutionStatus.OPTIMAL:
+                    break
+                gap = max(0.0, sign * (dual + known_sum
+                                       - target * known_count)) / denominator
+                tracer.annotate(gap=gap)
+            certified = target + sign * gap
+            endpoint = (min(endpoint, certified) if maximise
+                        else max(endpoint, certified))
+            if gap <= tolerance * max(1.0, abs(target)):
+                break
+            following = ((known_sum + float(values @ x))
+                         / (known_count + float(x.sum())))
+            if sign * (following - target) <= 0:
+                break
+            target = following
+        get_registry().histogram("solver.avg_iterations",
+                                 buckets=_AVG_ITERATION_BUCKETS).observe(solves)
+        return endpoint
 
 
 def compile_plan(plan: BoundPlan, decomposition: CellDecomposition, *,

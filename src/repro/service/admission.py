@@ -116,8 +116,8 @@ def price_query(solver, query, *, pool_statistics=None,
       per-shard skeletons already.
     * **solve cost** — one objective patch over the estimated cells, divided
       by the shard count (shards solve concurrently), and multiplied by the
-      probe budget for AVG (each binary-search probe is one patched solve
-      per direction).
+      iteration budget for AVG (each step of its parametric search is one
+      patched solve per direction; the budget is the worst case).
 
     Monotone by construction: more constraints or more estimated cells can
     only raise the price, warmth and sharding can only lower it.

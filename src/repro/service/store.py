@@ -41,8 +41,11 @@ from ..obs.metrics import get_registry
 
 __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 
-#: Bump whenever the table layout or value encoding changes incompatibly.
-SCHEMA_VERSION = 1
+#: Bump whenever the table layout or value encoding changes incompatibly,
+#: or when stored values were computed by a method whose answers changed.
+#: Version 2: AVG ranges come from the certified parametric search, so
+#: reports written under version 1 (bisection) are dropped on open.
+SCHEMA_VERSION = 2
 
 _DB_FILENAME = "repro-cache.sqlite"
 

@@ -89,6 +89,9 @@ class LPSolution:
     objective: float | None
     values: dict[str, float] = field(default_factory=dict)
     message: str = ""
+    #: A proven bound on the true optimum (HiGHS's MIP dual bound), when the
+    #: backend reports one; ``objective`` may trail it by the MIP gap.
+    dual_bound: float | None = None
 
     @property
     def is_optimal(self) -> bool:

@@ -130,14 +130,14 @@ class TestCliBound:
         assert "shard(s) over 2 worker(s) on the shared thread pool" in output
         assert "merged shard solves" in output
 
-    def test_bound_workers_avg_uses_cross_shard_search(self, capsys,
-                                                       disjoint_constraint_file):
+    def test_bound_workers_avg_runs_serial_program(self, capsys,
+                                                   disjoint_constraint_file):
         code = main(["bound", "--constraints", str(disjoint_constraint_file),
                      "--aggregate", "avg", "--attribute", "price",
                      "--workers", "2", "--no-closure-check"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "cross-shard binary search" in output
+        assert "AVG solved on the serial program" in output
         assert "result range" in output
 
     def test_bound_workers_match_serial_ranges(self, capsys,

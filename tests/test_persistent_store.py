@@ -95,6 +95,23 @@ class TestPersistentStore:
         assert reopened.entry_count() == 0
         reopened.close()
 
+    def test_version_1_store_opens_empty_without_error(self, tmp_path):
+        """Version-1 files hold AVG reports from the retired bisection."""
+        assert SCHEMA_VERSION == 2
+        store = PersistentStore(tmp_path)
+        store.write("report", ("k",), "bisection-era value")
+        store.close()
+        connection = sqlite3.connect(str(store.path))
+        connection.execute("PRAGMA user_version = 1")
+        connection.commit()
+        connection.close()
+
+        reopened = PersistentStore(tmp_path)
+        assert reopened.read("report", ("k",)) is None  # a cold miss
+        assert reopened.entry_count() == 0
+        assert reopened.statistics.errors == 0  # dropped, not an error
+        reopened.close()
+
     def test_unpicklable_key_or_value_is_swallowed(self, tmp_path):
         store = PersistentStore(tmp_path)
         store.write("report", ("k",), lambda: None)  # unpicklable value
@@ -267,6 +284,32 @@ class TestServiceWarmRestart:
                 Predicate.range("utc", 11, 13)))
             # Cold recompute, same answer; the file was recreated in place.
             assert recovered.statistics().decompositions_computed >= 1
+        assert second.result_range.lower == first.result_range.lower
+        assert second.result_range.upper == first.result_range.upper
+
+    def test_version_1_avg_report_is_recomputed(self, tmp_path):
+        """After a warm restart over a version-1 file, AVG misses cold."""
+        query = ContingencyQuery.avg("price", Predicate.range("utc", 11, 13))
+        with ContingencyService(max_workers=1,
+                                cache_dir=str(tmp_path)) as cold:
+            cold.register("outage", build_pcset(), observed=build_observed(),
+                          options=FAST)
+            first = cold.analyze("outage", query)
+            store_path = cold.store.path
+        connection = sqlite3.connect(str(store_path))
+        connection.execute("PRAGMA user_version = 1")
+        connection.commit()
+        connection.close()
+
+        with ContingencyService(max_workers=1,
+                                cache_dir=str(tmp_path)) as warm:
+            warm.register("outage", build_pcset(), observed=build_observed(),
+                          options=FAST)
+            second = warm.analyze("outage", ContingencyQuery.avg(
+                "price", Predicate.range("utc", 11, 13)))
+            assert warm.statistics().decompositions_computed >= 1
+            assert warm.store.statistics.hits == 0
+            assert warm.store.statistics.errors == 0
         assert second.result_range.lower == first.result_range.lower
         assert second.result_range.upper == first.result_range.upper
 

@@ -4,8 +4,8 @@ The randomized harness (test_property_soundness) pins the end-to-end range
 equalities; these tests pin the pass itself — strategy selection and its
 preference/density gates, the region splitter's partition-attribute and
 cut-point choices, sub-region coverage, the cell-union merge equalling the
-serial enumeration under every knob, cache-token separation, the worker
-pool's decompose fan-out, and the speculative AVG search.
+serial enumeration under every knob, cache-token separation, and the
+worker pool's decompose fan-out.
 """
 
 from __future__ import annotations
@@ -320,61 +320,3 @@ class TestSolverIntegration:
                                BoundOptions(check_closure=False))
         expected = serial.bound(AggregateFunction.COUNT)
         assert (result.lower, result.upper) == (expected.lower, expected.upper)
-
-
-# --------------------------------------------------------------------- #
-# Speculative AVG probing
-# --------------------------------------------------------------------- #
-class TestSpeculativeAvg:
-    def _sharded_setup(self):
-        pcset = PredicateConstraintSet([
-            pc(float(2 * i), 2 * i + 0.9, f"w{i}", klo=2, khi=8,
-               value_range=(float(i), float(i + 7)))
-            for i in range(4)])
-        pcset.mark_disjoint(True)
-        solver = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-        sharded = solver.sharded_plan(None, "v", max_shards=2)
-        assert sharded.is_sharded and sharded.strategy == "component"
-        keyed = [(solver.shard_program_key(shard, None, "v"),
-                  solver.shard_program(shard, None, "v"))
-                 for shard in sharded]
-        program = solver.program(None, "v")
-        serial = program.bound(AggregateFunction.AVG)
-        active = [p for key, prog in keyed for p in prog.active_profiles]
-        low = min(p.value_lower for p in active)
-        high = max(p.value_upper for p in active)
-        return keyed, serial, low, high
-
-    @pytest.mark.parametrize("speculative", [False, True])
-    def test_endpoints_identical_to_serial(self, speculative):
-        from repro.parallel.pool import WorkerPool, sharded_avg_range
-
-        keyed, serial, low, high = self._sharded_setup()
-        with WorkerPool(max_workers=8, mode="thread", name="spec") as pool:
-            lower, upper = sharded_avg_range(
-                pool, keyed, 0.0, 0.0, low, high,
-                tolerance=1e-6, max_iterations=64, speculative=speculative)
-        assert lower == serial.lower and upper == serial.upper
-
-    def test_speculation_halves_rounds(self):
-        from repro.parallel.pool import WorkerPool, sharded_avg_range
-
-        keyed, _, low, high = self._sharded_setup()
-        rounds = {}
-        for speculative in (False, True):
-            with WorkerPool(max_workers=8, mode="thread",
-                            name=f"spec-{speculative}") as pool:
-                sharded_avg_range(pool, keyed, 0.0, 0.0, low, high,
-                                  tolerance=1e-6, max_iterations=64,
-                                  speculative=speculative)
-                rounds[speculative] = pool.statistics.rounds
-        assert rounds[True] <= rounds[False] / 2 + 1
-
-    def test_capacity_gate(self):
-        from repro.parallel.pool import WorkerPool
-
-        with WorkerPool(max_workers=8, mode="thread", name="gate") as pool:
-            assert pool.speculative_capacity(4)
-            assert not pool.speculative_capacity(8)
-        serial_pool = WorkerPool(max_workers=1, name="gate-serial")
-        assert not serial_pool.speculative_capacity(0)

@@ -95,38 +95,6 @@ class TestPoolBatchTraffic:
         snapshot = pool.statistics.snapshot()
         assert snapshot.as_dict()["cells_per_task"] == 5.0
 
-    def test_avg_probes_batched_one_task_per_shard(self, monkeypatch):
-        """A 3-probe round over 2 shards ships 2 tasks carrying 6 cells."""
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", "1")
-        from repro.core.bounds import BoundOptions, PCBoundSolver
-        from repro.parallel.pool import WorkerPool
-
-        from test_property_soundness import scenario
-
-        _, _, _, pcset, _ = scenario(717, "disjoint")
-        solver = PCBoundSolver(pcset, BoundOptions(solve_workers=2))
-        sharded = solver.sharded_plan(None, "v", max_shards=2)
-        keyed = [(solver.shard_program_key(shard, None, "v"),
-                  solver.shard_program(shard, None, "v"))
-                 for shard in sharded]
-        assert len(keyed) >= 2
-        keyed = keyed[:2]
-        pool = WorkerPool(max_workers=2, mode="thread", name="probe-test")
-        probes = [(1.0, True, True), (2.0, False, True), (3.0, True, False)]
-        outcomes = pool.avg_probes(keyed, probes)
-        assert len(outcomes) == len(probes)
-        assert all(len(per_shard) == len(keyed) for per_shard in outcomes)
-        assert pool.statistics.tasks_shipped == len(keyed)
-        assert pool.statistics.cells_solved == len(keyed) * len(probes)
-        # Unbatched control: same results, one task per (probe, shard).
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", "0")
-        control_pool = WorkerPool(max_workers=2, mode="thread",
-                                  name="probe-control")
-        control = control_pool.avg_probes(keyed, probes)
-        assert control == outcomes
-        assert control_pool.statistics.tasks_shipped == \
-            len(keyed) * len(probes)
-
 
 class TestAdmissionInversion:
     def _cost(self, units, cells, constraints=10, shards=1, warm=False,
@@ -212,9 +180,9 @@ class TestProfileBatchAccounting:
                 for shard in (0, 1) for i in range(10)]))
         batched = QueryProfile(trace_id="t2", root=self._node(
             "bound", 1.0, children=[
-                self._node("pool.probe_batch",
+                self._node("pool.solve_batch",
                            1.0, {"shard": 0, "cells": 10}),
-                self._node("pool.probe_batch",
+                self._node("pool.solve_batch",
                            1.0, {"shard": 1, "cells": 10})]))
         assert len(tasked.shard_times()) == 2
         assert len(batched.shard_times()) == 2
@@ -240,7 +208,7 @@ class TestProfileBatchAccounting:
         profile = QueryProfile(trace_id="t4", root=self._node(
             "bound", 1.0, children=[
                 self._node("pool.solve_batch", 0.2, {"cells": 4}),
-                self._node("pool.probe_batch", 0.2, {"cells": 6}),
+                self._node("pool.decompose_batch", 0.2, {"cells": 6}),
                 self._node("pool.solve", 0.2, {}),
             ]))
         counts = profile.batch_counts()

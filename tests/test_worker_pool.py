@@ -195,18 +195,6 @@ class TestModesAndFallbacks:
                 assert pool.solve_programs(keyed, aggregate) == \
                     direct_endpoints(keyed, aggregate)
 
-    @pytest.mark.parametrize("mode", ["thread", "process"])
-    def test_avg_probes_match_direct_calls(self, solver, mode):
-        keyed = keyed_shard_programs(solver)
-        probes = [(10.0, True, True), (30.0, False, True), (50.0, True, False)]
-        with WorkerPool(max_workers=WORKERS, mode=mode) as pool:
-            pooled = pool.avg_probes(keyed, probes)
-        direct = [[program.avg_probe_optima(target, at_least=at_least,
-                                            with_floor=with_floor)
-                   for _, program in keyed]
-                  for target, at_least, with_floor in probes]
-        assert pooled == direct
-
 
 class TestAffinityAndWarmCaches:
     def test_affinity_is_sticky_and_balanced(self):
@@ -507,23 +495,7 @@ class TestWorkStealing:
         assert pool._assigned[index] == 0
 
 
-class TestSpeculativeCapacity:
-    def test_gated_on_live_tasks_not_just_width(self):
-        pool = WorkerPool(max_workers=4, mode="thread")
-        try:
-            assert pool.speculative_capacity(2)  # 4 idle workers > 2
-            pool._note_live(3)
-            try:
-                # Three tasks in flight leave one idle worker: speculating
-                # two extra probes would queue behind live work.
-                assert not pool.speculative_capacity(2)
-                assert not pool.speculative_capacity(1)
-            finally:
-                pool._note_live(-3)
-            assert pool.speculative_capacity(2)
-        finally:
-            pool.shutdown()
-
+class TestLiveTasks:
     def test_thread_fanout_occupies_live_slots(self):
         import threading
 
@@ -543,10 +515,8 @@ class TestSpeculativeCapacity:
             while pool.live_tasks != 3 and time.time() < deadline:
                 time.sleep(0.005)
             assert pool.live_tasks == 3
-            assert not pool.speculative_capacity(1)
         finally:
             release.set()
             worker.join(timeout=10.0)
             pool.shutdown()
         assert pool.live_tasks == 0
-        assert pool.speculative_capacity(1)
