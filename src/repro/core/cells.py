@@ -15,22 +15,34 @@ with the paper's four optimisations:
    prefixes; an unsatisfiable prefix prunes its whole subtree.
 3. **Expression rewriting** — if a prefix ``X`` is satisfiable and ``X ∧ ψ``
    is not, then ``X ∧ ¬ψ`` is satisfiable without another solver call.
+   ``DFS_REWRITE`` generalises this with a *witness*: each DFS node carries
+   a point of its prefix (found by the search that proved the prefix).  If
+   the point lies in ``ψ`` it proves ``X ∧ ψ``, otherwise it proves
+   ``X ∧ ¬ψ``; only the other child runs a search, so each node makes one
+   search, not two.  (If ``X ∧ ψ`` is UNSAT the point must lie outside
+   ``ψ`` — the rewriting rule.)  The node also carries the positive
+   intersection and the excluded boxes that still meet it, so no check
+   rebuilds them from the domain.
 4. **Approximate early stopping** — below a configurable depth, prefixes are
    assumed satisfiable; this can only add cells (loosening but never
    invalidating the bound).
 
-The decomposition reports statistics (cells evaluated, solver calls,
-rewrites) that back the paper's Figure 7.
+The decomposition reports statistics that back the paper's Figure 7:
+``cells_evaluated``/``solver_calls`` count every satisfiability decision
+that was made by checking (cheap empty-intersection checks included), and
+``rewrites_saved`` the children a witness or rewriting proved satisfiable.
+``NAIVE`` and ``DFS`` decide every child, so only ``DFS_REWRITE`` saves.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..exceptions import ConstraintError
-from ..solvers.sat import Box, BoxSolver
+from ..solvers.sat import AttributeDomain, Box, BoxSolver, CategoricalSet
 from .pcset import PredicateConstraintSet
 from .predicates import Predicate
 
@@ -184,6 +196,13 @@ class CellDecomposer:
         self._early_stop_depth = early_stop_depth
         self._solver: BoxSolver = pcset.solver()
         self._boxes: list[Box] = [pc.predicate.to_box() for pc in pcset]
+        domains = pcset.domains
+        self._witness_exact = _witness_exact(self._boxes, domains)
+        #: Attributes no domain declares: witnesses get a value for them, so
+        #: membership tests against every box are total.
+        self._free_attributes = sorted({
+            attribute for box in self._boxes for attribute in box.attributes()
+            if attribute not in domains})
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -253,57 +272,121 @@ class CellDecomposer:
     def _decompose_dfs(self, query_box: Box | None,
                        statistics: DecompositionStatistics,
                        use_rewrite: bool) -> list[Cell]:
-        count = len(self._boxes)
+        boxes = self._boxes
+        count = len(boxes)
+        solver = self._solver
+        stop_depth = count if self._early_stop_depth is None else min(
+            count, max(self._early_stop_depth, 0))
+        use_witness = use_rewrite and self._witness_exact
+        free = self._free_attributes
         cells: list[Cell] = []
 
-        def recurse(depth: int, included: tuple[int, ...],
-                    excluded: tuple[int, ...]) -> None:
+        def complete(witness: dict[str, object] | None
+                     ) -> dict[str, object] | None:
+            if witness is None or not use_witness:
+                return None
+            for attribute in free:
+                witness.setdefault(attribute, 0.0)
+            return witness
+
+        def decide(region: Box, relevant: list[Box]
+                   ) -> tuple[bool, dict[str, object] | None]:
+            statistics.cells_evaluated += 1
+            statistics.solver_calls += 1
+            satisfiable, witness = solver.decide(region, relevant)
+            return satisfiable, complete(witness)
+
+        def assume(depth: int, included: tuple[int, ...]) -> None:
+            # Early stopping (Optimisation 4): every prefix is satisfiable.
             if depth == count:
                 if included:
                     cells.append(Cell(frozenset(included)))
                 return
+            statistics.assumed_satisfiable += 2
+            assume(depth + 1, included + (depth,))
+            assume(depth + 1, included)
 
-            early_stop = (self._early_stop_depth is not None
-                          and depth >= self._early_stop_depth)
+        # ``region`` is domain ∧ query ∧ the included boxes; ``relevant``
+        # holds the excluded boxes that intersect it, in index order; and
+        # ``witness`` (when known) is a point of the region outside them.
+        def recurse(depth: int, included: tuple[int, ...], region: Box,
+                    relevant: list[Box],
+                    witness: dict[str, object] | None) -> None:
+            if depth == count:
+                if included:
+                    cells.append(Cell(frozenset(included)))
+                return
+            if depth >= stop_depth:
+                assume(depth, included)
+                return
+            box = boxes[depth]
+            inside = witness is not None and box.contains_point(witness)
 
             # Branch 1: include psi_depth.
             with_included = included + (depth,)
-            if early_stop:
-                statistics.assumed_satisfiable += 1
-                include_satisfiable = True
-            else:
+            inner = region.intersect(box)
+            inner_empty = not inside and inner.is_empty()
+            inner_relevant = [] if inner_empty else [
+                other for other in relevant if inner.intersects(other)]
+            if inside:
+                statistics.rewrites_saved += 1
+                self._on_witness(with_included, depth + 1, witness)
+                include_satisfiable, include_witness = True, witness
+            elif inner_empty:
+                # Empty intersection: still a decision, just a cheap one.
                 statistics.cells_evaluated += 1
                 statistics.solver_calls += 1
-                include_satisfiable = self._check_partial(
-                    with_included, excluded, query_box)
+                include_satisfiable, include_witness = False, None
+            else:
+                include_satisfiable, include_witness = decide(
+                    inner, inner_relevant)
             if include_satisfiable:
-                recurse(depth + 1, with_included, excluded)
+                recurse(depth + 1, with_included, inner, inner_relevant,
+                        include_witness)
             else:
                 statistics.subtrees_pruned += 1
 
             # Branch 2: exclude psi_depth (i.e. conjoin its negation).
-            with_excluded = excluded + (depth,)
-            if early_stop:
-                statistics.assumed_satisfiable += 1
-                exclude_satisfiable = True
-            elif use_rewrite and not include_satisfiable:
-                # Rewriting heuristic: the parent prefix was satisfiable
-                # (otherwise we would not be here) and adding psi made it
-                # unsatisfiable, hence adding NOT psi keeps it satisfiable.
+            outer_relevant = (relevant + [box]
+                              if inside or region.intersects(box) else relevant)
+            if witness is not None and not inside:
+                # The witness lies outside psi_depth, so it proves the
+                # exclude child — the rewriting rule is the special case
+                # where the include child is UNSAT.
                 statistics.rewrites_saved += 1
-                exclude_satisfiable = True
+                self._on_witness(included, depth + 1, witness)
+                exclude_satisfiable, exclude_witness = True, witness
+            elif use_rewrite and not include_satisfiable:
+                # Rewriting without a witness: the parent prefix was
+                # satisfiable (otherwise we would not be here) and adding
+                # psi made it unsatisfiable, hence adding NOT psi keeps it
+                # satisfiable.
+                statistics.rewrites_saved += 1
+                exclude_satisfiable, exclude_witness = True, None
             else:
-                statistics.cells_evaluated += 1
-                statistics.solver_calls += 1
-                exclude_satisfiable = self._check_partial(
-                    included, with_excluded, query_box)
+                exclude_satisfiable, exclude_witness = decide(
+                    region, outer_relevant)
             if exclude_satisfiable:
-                recurse(depth + 1, included, with_excluded)
+                recurse(depth + 1, included, region, outer_relevant,
+                        exclude_witness)
             else:
                 statistics.subtrees_pruned += 1
 
-        recurse(0, (), ())
+        root = solver.domain_box()
+        if query_box is not None:
+            root = root.intersect(query_box)
+        recurse(0, (), root, [],
+                None if root.is_empty() else complete(root.sample_point()))
         return cells
+
+    def _on_witness(self, included: tuple[int, ...], decided: int,
+                    witness: dict[str, object]) -> None:
+        """Hook: ``witness`` settled the child that includes exactly
+        ``included`` among the first ``decided`` constraints.
+
+        A no-op; tests override it to audit every certificate the DFS
+        trusts in place of a solver call.
+        """
 
     # ------------------------------------------------------------------ #
     # Satisfiability helpers
@@ -321,6 +404,39 @@ class CellDecomposer:
             positives.append(query_box)
         negatives = [self._boxes[index] for index in excluded]
         return self._solver.is_satisfiable(positives, negatives)
+
+
+def _witness_exact(boxes: Sequence[Box],
+                   domains: Mapping[str, AttributeDomain]) -> bool:
+    """Whether a witness point settles a check exactly as the solver would.
+
+    The solver's split of ``region ∧ ¬C`` is the pointwise difference of
+    the two boxes when every integral interval of ``C`` has integer (or
+    infinite) bounds on an integral-domain attribute — so regions are
+    integral there too — and every categorical set of ``C`` lies on a
+    categorical-domain attribute.  Other sets (mixed integrality,
+    fractional integral bounds, undeclared categoricals) keep the plain
+    rewriting rule.
+    """
+    for box in boxes:
+        for attribute, constraint in box.constraints.items():
+            domain = domains.get(attribute)
+            if isinstance(constraint, CategoricalSet):
+                if domain is None or domain.is_numeric:
+                    return False
+            elif domain is not None and not domain.is_numeric:
+                return False
+            elif constraint.integral and not (
+                    domain is not None and domain.interval.integral
+                    and _exact_integer(constraint.low)
+                    and _exact_integer(constraint.high)):
+                return False
+    return True
+
+
+def _exact_integer(bound: float) -> bool:
+    return math.isinf(bound) or (float(bound).is_integer()
+                                 and abs(bound) < 2 ** 53)
 
 
 # --------------------------------------------------------------------- #

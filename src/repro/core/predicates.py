@@ -283,7 +283,7 @@ class Predicate:
 
         Exact for box predicates (the only kind the framework supports).
         """
-        return not self.to_box().intersect(other.to_box()).is_empty()
+        return self.to_box().intersects(other.to_box())
 
     # ------------------------------------------------------------------ #
     # Dunder methods

@@ -20,6 +20,11 @@ Algorithm
    ``C`` (split below / above the interval, or on the complement of the
    categorical set).  Recurse on each piece with the remaining negations.
 
+One recursion serves every entry point: it returns the first satisfying
+piece's sample point as a *witness*, so a yes/no check and a witness search
+cost the same, and the cell enumerator reuses the witness to settle further
+checks without searching (see :mod:`repro.core.cells`).
+
 The procedure is exponential in the worst case (the problem is NP-hard, see
 paper §4.3) but the recursion is heavily pruned by empty intersections,
 exactly the behaviour the DFS optimisation in the paper exploits.
@@ -43,6 +48,8 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
+#: What :meth:`BoxSolver._search` returns when its split budget runs out.
+_EXHAUSTED = object()
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,9 @@ class Interval:
             )
             return float(low)
         if self.low > _NEG_INF and self.high < _POS_INF:
-            return (self.low + self.high) / 2.0
+            middle = (self.low + self.high) / 2.0
+            # The sum overflows for bounds near the float limit.
+            return middle if self.low <= middle <= self.high else self.low
         if self.low > _NEG_INF:
             return self.low
         if self.high < _POS_INF:
@@ -220,6 +229,30 @@ class Box:
             merged[attribute] = _intersect_constraints(existing, constraint)
         return Box(merged)
 
+    def intersects(self, other: "Box") -> bool:
+        """Whether the conjunction with ``other`` is satisfiable.
+
+        Exactly ``not self.intersect(other).is_empty()`` (integral rounding
+        and categorical sets included), but without building the
+        intersection: the relevance filters of the SAT search call this once
+        per negated box per region.  A numeric/categorical clash on a shared
+        attribute raises ``TypeError`` as there, unless an attribute checked
+        earlier already shows the boxes disjoint.
+        """
+        mine = self._constraints
+        theirs = other._constraints
+        for attribute, constraint in theirs.items():
+            existing = mine.get(attribute)
+            if existing is None:
+                if constraint.is_empty():
+                    return False
+            elif not _constraints_overlap(existing, constraint):
+                return False
+        for attribute, constraint in mine.items():
+            if attribute not in theirs and constraint.is_empty():
+                return False
+        return True
+
     def contains_point(self, point: Mapping[str, object]) -> bool:
         """Whether a concrete assignment satisfies every constraint."""
         for attribute, constraint in self._constraints.items():
@@ -263,7 +296,31 @@ def _intersect_constraints(
         return first.intersect(second)
     if isinstance(first, CategoricalSet) and isinstance(second, CategoricalSet):
         return first.intersect(second)
-    raise TypeError(
+    raise _kind_mismatch(first, second)
+
+
+def _constraints_overlap(first: Interval | CategoricalSet,
+                         second: Interval | CategoricalSet) -> bool:
+    """``not _intersect_constraints(first, second).is_empty()``, allocation-free."""
+    if isinstance(first, Interval) and isinstance(second, Interval):
+        low = max(first.low, second.low)
+        high = min(first.high, second.high)
+        if low > high:
+            return False
+        if first.integral or second.integral:
+            if not math.isinf(low):
+                low = math.ceil(low)
+            if not math.isinf(high):
+                high = math.floor(high)
+            return not low > high
+        return True
+    if isinstance(first, CategoricalSet) and isinstance(second, CategoricalSet):
+        return not first.values.isdisjoint(second.values)
+    raise _kind_mismatch(first, second)
+
+
+def _kind_mismatch(first: object, second: object) -> TypeError:
+    return TypeError(
         "cannot intersect a numeric constraint with a categorical constraint "
         f"({type(first).__name__} vs {type(second).__name__})"
     )
@@ -312,73 +369,85 @@ class BoxSolver:
                        negatives: Sequence[Box] = ()) -> bool:
         """Decide ``∧ positives ∧ ∧ ¬negatives`` over the configured domain."""
         self.statistics.satisfiability_checks += 1
-        region = self._domain_box()
-        for box in positives:
-            region = region.intersect(box)
+        region = self._positive_region(positives)
         if region.is_empty():
             return False
-        relevant = [box for box in negatives
-                    if not region.intersect(box).is_empty()]
-        return self._search(region, relevant, budget=[self._max_splits])
+        relevant = [box for box in negatives if region.intersects(box)]
+        return self._search(region, relevant, [self._max_splits]) is not None
 
     def find_witness(self, positives: Sequence[Box],
                      negatives: Sequence[Box] = ()) -> dict[str, object] | None:
-        """Return a satisfying assignment, or ``None`` when UNSAT."""
-        region = self._domain_box()
-        for box in positives:
-            region = region.intersect(box)
+        """Return a satisfying assignment, or ``None`` when UNSAT.
+
+        Unbounded by ``max_splits``: callers read ``None`` as a proof of
+        unsatisfiability (e.g. closure), which a budget cut cannot give.
+        """
+        region = self._positive_region(positives)
         if region.is_empty():
             return None
-        witness = self._search_witness(region, list(negatives))
-        return witness
+        relevant = [box for box in negatives if region.intersects(box)]
+        return self._search(region, relevant, None)
 
-    # ------------------------------------------------------------------ #
-    # Internal recursion
-    # ------------------------------------------------------------------ #
-    def _domain_box(self) -> Box:
+    def decide(self, region: Box, relevant: list[Box]
+               ) -> tuple[bool, dict[str, object] | None]:
+        """Decide ``region ∧ ¬relevant`` for a prepared region.
+
+        ``region`` must lie inside :meth:`domain_box` and every box in
+        ``relevant`` must intersect it — callers that carry both down a
+        search (the cell enumerator) skip rebuilding them per check.
+        Returns ``(satisfiable, witness)``.  The witness is a point of the
+        region outside every relevant box, or ``None`` when the region is
+        unsatisfiable or the ``max_splits`` budget ran out first (reported
+        as satisfiable: the sound direction for cell pruning).
+        """
+        self.statistics.satisfiability_checks += 1
+        if region.is_empty():
+            return False, None
+        result = self._search(region, relevant, [self._max_splits])
+        if result is _EXHAUSTED:
+            return True, None
+        return result is not None, result
+
+    def domain_box(self) -> Box:
+        """The box of every declared attribute domain (TRUE when none)."""
         constraints: dict[str, Interval | CategoricalSet] = {}
         for attribute, domain in self._domains.items():
             constraints[attribute] = domain.full_constraint()
         return Box(constraints)
 
-    def _search(self, region: Box, negatives: list[Box], budget: list[int]) -> bool:
-        if region.is_empty():
-            return False
-        pending = [box for box in negatives
-                   if not region.intersect(box).is_empty()]
-        if not pending:
-            return True
-        budget[0] -= 1
-        if budget[0] <= 0:
-            # Running out of budget means we could not prove UNSAT; treat as
-            # satisfiable — this direction is the sound one for cell pruning
-            # (an unpruned cell can only loosen a bound, never break it).
-            return True
-        negation = pending[0]
-        remaining = pending[1:]
-        # If the negated box does not constrain any attribute inside the
-        # region's domain view, the whole region is excluded.
-        pieces = self._subtract(region, negation)
-        self.statistics.recursive_splits += 1
-        for piece in pieces:
-            if self._search(piece, remaining, budget):
-                return True
-        return False
+    # ------------------------------------------------------------------ #
+    # Internal recursion
+    # ------------------------------------------------------------------ #
+    def _positive_region(self, positives: Sequence[Box]) -> Box:
+        region = self.domain_box()
+        for box in positives:
+            region = region.intersect(box)
+        return region
 
-    def _search_witness(self, region: Box, negatives: list[Box]
-                        ) -> dict[str, object] | None:
-        if region.is_empty():
-            return None
-        pending = [box for box in negatives
-                   if not region.intersect(box).is_empty()]
+    def _search(self, region: Box, pending: list[Box], budget: list[int] | None):
+        """A point of ``region`` outside every box in ``pending``.
+
+        ``region`` is non-empty and every pending box intersects it.
+        Returns the point, ``None`` when there is none, or ``_EXHAUSTED``
+        once the split ``budget`` (``None``: unbounded) runs out — running
+        out means UNSAT was not proved, which callers treat as satisfiable.
+        """
         if not pending:
             return region.sample_point(self._domains)
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] <= 0:
+                return _EXHAUSTED
         negation = pending[0]
         remaining = pending[1:]
+        self.statistics.recursive_splits += 1
+        # Pieces are disjoint and non-empty by construction (_subtract).
         for piece in self._subtract(region, negation):
-            witness = self._search_witness(piece, remaining)
-            if witness is not None:
-                return witness
+            result = self._search(
+                piece, [box for box in remaining if piece.intersects(box)],
+                budget)
+            if result is not None:
+                return result
         return None
 
     def _subtract(self, region: Box, negation: Box) -> list[Box]:
@@ -392,7 +461,7 @@ class BoxSolver:
         """
         pieces: list[Box] = []
         current = region
-        for attribute, constraint in negation.constraints.items():
+        for attribute, constraint in negation._constraints.items():
             region_constraint = current.constraint_for(attribute)
             if region_constraint is None:
                 region_constraint = self._default_constraint(attribute, constraint)

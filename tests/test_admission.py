@@ -26,7 +26,13 @@ from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.exceptions import QueryRejectedError
 from repro.service import AdmissionPolicy, ContingencyService, price_query
-from repro.service.admission import AdmissionController, QueryCost
+from repro.relational.aggregates import AggregateFunction
+from repro.service.admission import (
+    AVG_SOLVES_PER_SIDE,
+    AdmissionController,
+    QueryCost,
+    admissible_cell_budget,
+)
 
 
 def pc(lo, hi, name, klo=0, khi=10):
@@ -186,6 +192,44 @@ class TestPricing:
         _, count = self.price(chain_pcset(4), ContingencyQuery.count())
         _, avg = self.price(chain_pcset(4), ContingencyQuery.avg("v"))
         assert avg.units > count.units
+
+    def test_avg_charges_measured_solves_per_side_not_the_budget(self):
+        _, count = self.price(chain_pcset(4), ContingencyQuery.count())
+        _, avg = self.price(chain_pcset(4), ContingencyQuery.avg("v"))
+        _, wide = self.price(chain_pcset(4), ContingencyQuery.avg("v"),
+                             avg_max_iterations=500)
+        _, capped = self.price(chain_pcset(4), ContingencyQuery.avg("v"),
+                               avg_max_iterations=1)
+        cells = count.estimated_cells
+        assert avg.estimated_cells == cells
+        # Two search sides of AVG_SOLVES_PER_SIDE solves replace COUNT's one.
+        assert avg.units - count.units == pytest.approx(
+            (2 * AVG_SOLVES_PER_SIDE - 1) * cells)
+        # The iteration budget only matters when it is below the measured
+        # per-side count.
+        assert wide.units == avg.units
+        assert capped.units - count.units == pytest.approx(cells)
+
+    @pytest.mark.parametrize("options", [
+        {}, {"solve_workers": 3, "shard_strategy": "region"}])
+    def test_cell_budget_inverts_avg_price(self, options):
+        solver, avg = self.price(chain_pcset(6), ContingencyQuery.avg("v"),
+                                 **options)
+        cells, shards = avg.estimated_cells, avg.shard_count
+        # Cold: every cell pays its build share plus both search sides.
+        base = avg.constraint_count / shards
+        assert (avg.units - base) / cells == pytest.approx(
+            (1 + 2 * AVG_SOLVES_PER_SIDE) / shards)
+        assert admissible_cell_budget(avg, avg.units + 1e-9) == cells
+        assert admissible_cell_budget(avg, avg.units - 1e-6) == cells - 1
+        # Warm: the solves alone.
+        solver.bound(AggregateFunction.AVG, "v")
+        warm = price_query(solver, ContingencyQuery.avg("v"))
+        assert warm.program_warm
+        assert warm.units == pytest.approx(
+            2 * AVG_SOLVES_PER_SIDE * cells / shards)
+        assert admissible_cell_budget(warm, warm.units + 1e-9) == cells
+        assert admissible_cell_budget(warm, warm.units - 1e-6) == cells - 1
 
     def test_pricing_never_solves_or_decomposes(self):
         solver, priced = self.price(chain_pcset(5), ContingencyQuery.count())

@@ -193,6 +193,22 @@ class TestFigureRuns:
         satisfiable = {row["satisfiable_cells"] for row in result.rows}
         assert len(satisfiable) == 1
 
+    def test_figure7_naive_and_dfs_counts_are_pinned(self):
+        # The witness rule applies only under dfs-rewrite, so the NAIVE and
+        # DFS columns of Figure 7 keep counting one decision per child.
+        result = run_figure7(Figure7Config(num_constraints=16, num_rows=4_000))
+        rows = {row["strategy"]: row for row in result.rows}
+        assert rows["naive"] == {
+            "strategy": "naive", "cells_evaluated": 65536,
+            "solver_calls": 65536, "rewrites_saved": 0,
+            "satisfiable_cells": 103}
+        assert rows["dfs"] == {
+            "strategy": "dfs", "cells_evaluated": 882, "solver_calls": 882,
+            "rewrites_saved": 0, "satisfiable_cells": 103}
+        rewrite = rows["dfs-rewrite"]
+        assert rewrite["satisfiable_cells"] == 103
+        assert rewrite["solver_calls"] + rewrite["rewrites_saved"] == 882
+
     def test_figure8_latency_grows_with_partitions(self):
         result = run_figure8(Figure8Config(partition_sizes=(25, 100), num_queries=4,
                                            num_rows=2_000))

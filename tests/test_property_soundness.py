@@ -195,13 +195,13 @@ def test_cross_backend_verification_sound_and_identical(kind):
 @pytest.mark.parametrize("seed", [707, 808])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
-    """Cross-shard AVG (the pooled binary search) equals the serial search.
+    """AVG on a sharded solver equals AVG on a serial one, and contains
+    the truth.
 
     AVG is the one aggregate whose bounds do not merge from independent
-    shard ranges — the binary search couples every cell through the shared
-    target.  The cross-shard search instead exchanges per-shard
-    ``value − target`` optima once per probe, which must reproduce the
-    serial search's decisions bit-for-bit: same midpoints, same endpoints.
+    shard ranges: the parametric search couples every cell through one
+    shared λ.  So a ``solve_workers=3`` solver runs AVG on the serial
+    program, and its range must equal the serial solver's exactly.
     Covered regimes: no observed partition (the floored search), an
     observed partition (``known_count > 0``), and randomized regions.
     """
@@ -220,7 +220,8 @@ def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
         assert_same_range(serial_range, sharded_range, query,
                           "sharded AVG vs serial")
     # With an observed partition the search carries (known_sum, known_count)
-    # — the unfloored regime, where the probe objective is fully separable.
+    # — the unfloored regime, whose certified endpoint divides by
+    # known_count rather than by the floor row's 1.
     serial_analyzer = PCAnalyzer(pcset, observed=observed,
                                  options=BoundOptions())
     sharded_analyzer = PCAnalyzer(pcset, observed=observed,
@@ -238,7 +239,7 @@ def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
 
 
 def test_sharded_avg_through_process_pool_matches_serial():
-    """The same equality holds when the probes run on process workers."""
+    """The same equality holds for a solver attached to a process pool."""
     from repro.parallel.pool import WorkerPool
 
     _, _, missing, pcset, _ = scenario(909, "mandatory")
@@ -447,9 +448,10 @@ def test_batched_solves_identical_to_unbatched(seed, kind, monkeypatch):
 def test_batched_process_pool_matches_serial(monkeypatch):
     """Batched task kinds through real process workers == serial ranges.
 
-    Covers solve_batch (sharded COUNT/SUM/MIN/MAX), probe_batch (the
-    cross-shard AVG search) and the batched region decomposition, against
-    the unbatched serial baseline on the same constraint set.
+    Covers solve_batch (sharded COUNT/SUM/MIN/MAX) and the batched region
+    decomposition against the unbatched serial baseline on the same
+    constraint set, plus AVG, which a pooled solver runs on the serial
+    program and must answer bit-identically.
     """
     from repro.parallel.pool import WorkerPool
 

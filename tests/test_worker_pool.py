@@ -453,13 +453,17 @@ class TestWorkStealing:
 
     def test_queued_batch_splits_when_thieves_outnumber_tasks(self,
                                                               monkeypatch):
+        # The split needs batching on and at least two idle thieves, so the
+        # test sets both up itself rather than reading them from the CI leg.
         monkeypatch.delenv("REPRO_STEAL", raising=False)
+        monkeypatch.delenv("REPRO_SOLVE_BATCH", raising=False)
         # batch_size=4 over 68 same-key tasks makes 17 decompose_batch
         # requests for one worker: 16 in flight, exactly one queued — fewer
-        # queued tasks than idle workers, so the queued batch must split.
+        # queued tasks than the two idle workers, so the queued batch must
+        # split.
         tasks = self.skewed_tasks(68)
         expected = self.serial_coverings(tasks)
-        with WorkerPool(max_workers=WORKERS, mode="process",
+        with WorkerPool(max_workers=3, mode="process",
                         steal=True) as pool:
             results = pool.decompose_shards(tasks, batch_size=4)
             statistics = pool.statistics
