@@ -9,12 +9,12 @@ single core and is asserted unconditionally.
 
 Second, the parallel benchmarks that lost to serial before batching —
 sharded single-query fan-out and the warm multi-region batch — are re-run
-here with batching on, recording how far one-task-per-batch shipping
-closes the gap.  (The cross-shard AVG search that also lost is gone: AVG
-now runs a parametric search on the serial program.)  Those are hardware
-claims: range equality is asserted everywhere, but wall-clock speedup
-assertions skip below 4 cores instead of reporting a number no machine
-could hit.
+here on the batched pool (the only pool path), recording how far
+one-task-per-batch shipping closes the gap to serial.  (The cross-shard
+AVG search that also lost is gone: AVG now runs a parametric search on
+the serial program.)  Those are hardware claims: range equality is
+asserted everywhere, but wall-clock speedup assertions skip below 4 cores
+instead of reporting a number no machine could hit.
 """
 
 from __future__ import annotations
@@ -94,8 +94,7 @@ def test_bench_batched_kernel_vs_per_cell(report_artifact, bench_record):
     assert ratio >= 3.0
 
 
-def test_bench_batched_sharded_single_query(report_artifact, bench_record,
-                                            monkeypatch):
+def test_bench_batched_sharded_single_query(report_artifact, bench_record):
     """Sharded single-query fan-out re-run with batched cell shipping."""
     rng = np.random.default_rng(11)
     schema = Schema.from_pairs([("t", ColumnType.FLOAT),
@@ -116,54 +115,39 @@ def test_bench_batched_sharded_single_query(report_artifact, bench_record,
                      for aggregate, attribute in aggregates]
     serial_seconds = time.perf_counter() - started
 
-    def sharded_run(batch: str):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", batch)
-        sharded = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                    solve_workers=WORKERS))
-        started = time.perf_counter()
-        ranges = [sharded.bound(aggregate, attribute)
-                  for aggregate, attribute in aggregates]
-        return time.perf_counter() - started, ranges
-
-    unbatched_seconds, unbatched_ranges = sharded_run("0")
-    batched_seconds, batched_ranges = sharded_run("1")
+    sharded = PCBoundSolver(pcset, BoundOptions(check_closure=False,
+                                                solve_workers=WORKERS))
+    started = time.perf_counter()
+    batched_ranges = [sharded.bound(aggregate, attribute)
+                      for aggregate, attribute in aggregates]
+    batched_seconds = time.perf_counter() - started
 
     # Equal up to float summation order (the additive merge folds 64 shard
     # optima in a different association than the monolithic dot product).
-    for found in (unbatched_ranges, batched_ranges):
-        for sharded_range, serial_range in zip(found, serial_ranges):
-            assert sharded_range.lower == pytest.approx(serial_range.lower,
-                                                        rel=1e-12)
-            assert sharded_range.upper == pytest.approx(serial_range.upper,
-                                                        rel=1e-12)
-    # The batched and per-cell sharded paths are bit-identical.
-    assert [(r.lower, r.upper) for r in batched_ranges] == \
-        [(r.lower, r.upper) for r in unbatched_ranges]
+    for sharded_range, serial_range in zip(batched_ranges, serial_ranges):
+        assert sharded_range.lower == pytest.approx(serial_range.lower,
+                                                    rel=1e-12)
+        assert sharded_range.upper == pytest.approx(serial_range.upper,
+                                                    rel=1e-12)
 
     speedup = serial_seconds / max(batched_seconds, 1e-9)
-    batch_gain = unbatched_seconds / max(batched_seconds, 1e-9)
     cores = available_cores()
     report_artifact(
         "Single-query sharding on a 64-window partition, batched shipping\n"
         f"  available cores      : {cores}\n"
         f"  serial               : {serial_seconds * 1000:.1f} ms\n"
-        f"  sharded, per-cell    : {unbatched_seconds * 1000:.1f} ms\n"
         f"  sharded, batched     : {batched_seconds * 1000:.1f} ms\n"
-        f"  vs serial            : {speedup:.2f}x "
-        f"(batching gained {batch_gain:.2f}x)")
+        f"  vs serial            : {speedup:.2f}x")
     bench_record(serial_seconds=serial_seconds,
-                 unbatched_sharded_seconds=unbatched_seconds,
                  batched_sharded_seconds=batched_seconds,
-                 speedup=speedup, batch_gain=batch_gain,
-                 workers=WORKERS, cores=cores)
+                 speedup=speedup, workers=WORKERS, cores=cores)
     if cores < WORKERS:
         pytest.skip(f"parallel speedup needs >= {WORKERS} cores, found "
                     f"{cores}; range-equality was still asserted")
     assert speedup >= 1.0
 
 
-def test_bench_batched_warm_fanout(report_artifact, bench_record,
-                                   monkeypatch):
+def test_bench_batched_warm_fanout(report_artifact, bench_record):
     """Warm multi-region batch re-run with batched analyze shipping."""
     from test_bench_parallel_fanout import coupled_scenario
 
@@ -171,38 +155,30 @@ def test_bench_batched_warm_fanout(report_artifact, bench_record,
     for query in queries:
         analyzer.prepare(query.region, query.attribute)
 
-    def run(workers: int, mode: str, batch: str):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", batch)
+    def run(workers: int, mode: str):
         with BatchExecutor(max_workers=workers, mode=mode) as executor:
             started = time.perf_counter()
             result = executor.execute(analyzer, queries)
             return time.perf_counter() - started, result
 
-    serial_seconds, serial_result = run(1, "thread", "1")
-    unbatched_seconds, unbatched_result = run(WORKERS, "process", "0")
-    batched_seconds, batched_result = run(WORKERS, "process", "1")
+    serial_seconds, serial_result = run(1, "thread")
+    batched_seconds, batched_result = run(WORKERS, "process")
 
-    serial_ranges = [(r.lower, r.upper) for r in serial_result.reports]
-    for result in (unbatched_result, batched_result):
-        assert [(r.lower, r.upper) for r in result.reports] == serial_ranges
+    assert [(r.lower, r.upper) for r in batched_result.reports] == \
+        [(r.lower, r.upper) for r in serial_result.reports]
 
     speedup = serial_seconds / max(batched_seconds, 1e-9)
-    batch_gain = unbatched_seconds / max(batched_seconds, 1e-9)
     cores = available_cores()
     report_artifact(
         "Warm multi-region batch, process fan-out with batched shipping\n"
         f"  queries              : {len(queries)}\n"
         f"  available cores      : {cores}\n"
         f"  workers=1 (serial)   : {serial_seconds:.2f} s\n"
-        f"  fan-out, per-cell    : {unbatched_seconds:.2f} s\n"
         f"  fan-out, batched     : {batched_seconds:.2f} s\n"
-        f"  vs serial            : {speedup:.2f}x "
-        f"(batching gained {batch_gain:.2f}x)")
+        f"  vs serial            : {speedup:.2f}x")
     bench_record(serial_seconds=serial_seconds,
-                 unbatched_fanout_seconds=unbatched_seconds,
                  batched_fanout_seconds=batched_seconds,
-                 speedup=speedup, batch_gain=batch_gain,
-                 workers=WORKERS, cores=cores)
+                 speedup=speedup, workers=WORKERS, cores=cores)
     if cores < WORKERS:
         pytest.skip(f"parallel speedup needs >= {WORKERS} cores, found "
                     f"{cores}; range-equality was still asserted")

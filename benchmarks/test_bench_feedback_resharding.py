@@ -1,4 +1,4 @@
-"""Benchmark: skew-aware elastic scheduling on a deliberately hot workload.
+"""Benchmark: feedback resharding on a deliberately hot workload.
 
 The workload concentrates enumeration work in a narrow slice of the
 partition attribute: a *hot zone* of a few ``t``-windows crossed with a
@@ -9,22 +9,17 @@ available before anything has run — spreads the cuts along the cold tail
 and leaves the hot zone inside one shard, so the fan-out's critical path
 is one straggler worker.
 
-Two mechanisms flatten it, both measured here:
+**Feedback resharding** flattens it: the first run's observed per-shard
+cell loads feed a shared :class:`~repro.plan.passes.ShardLoadMemo`, and
+the next solver's cut placement weights midpoints by measured cells and
+pulls cuts into the hot zone.  Asserted deterministically: the profiled
+``shard_cell_skew`` with feedback must be *strictly lower* than the
+uniform-cut run's.
 
-* **feedback resharding** — the first run's observed per-shard cell loads
-  feed a shared :class:`~repro.plan.passes.ShardLoadMemo`; the next
-  solver's cut placement weights midpoints by measured cells and pulls
-  cuts into the hot zone.  Asserted deterministically: the profiled
-  ``shard_cell_skew`` with feedback must be *strictly lower* than the
-  uniform-cut run's.
-* **work stealing** — while a skewed round is in flight, idle workers
-  take the hot shard's queued tasks (``tasks_stolen``/``batches_split``
-  pool counters, ``stolen_tasks`` in the profile).
-
-Results stay bit-identical to serial across every aggregate — both knobs
-move *where* work runs, never what it computes.  Wall-clock speedup is
-asserted only on >= 4 cores (the usual convention); skew reduction and
-equality are asserted everywhere.  Timings land in BENCH_PR8.json.
+Results stay bit-identical to serial across every aggregate — cut
+placement moves *where* work runs, never what it computes.  Wall-clock
+speedup is asserted only on >= 4 cores (the usual convention); skew
+reduction and equality are asserted everywhere.
 """
 
 from __future__ import annotations
@@ -104,13 +99,8 @@ def profiled_cold_bound(solver, pool):
     return profile, seconds
 
 
-def test_feedback_resharding_and_stealing_flatten_skew(bench_record,
-                                                       monkeypatch):
+def test_feedback_resharding_flattens_skew(bench_record):
     from repro.parallel.pool import WorkerPool
-
-    # The constructor flag must decide stealing per pool here, whatever
-    # the ambient CI matrix leg pinned.
-    monkeypatch.delenv("REPRO_STEAL", raising=False)
 
     pcset = skewed_pcset()
     assert len(partition_constraint_indices(pcset)) == 1  # one component
@@ -125,9 +115,9 @@ def test_feedback_resharding_and_stealing_flatten_skew(bench_record,
                            shard_strategy="region")
     memo = ShardLoadMemo()
 
-    # --- pre: uniform midpoint-count cuts, stealing off ----------------- #
-    with WorkerPool(max_workers=WORKERS, mode="process", steal=False,
-                    name="bench-steal-pre") as pre_pool:
+    # --- pre: uniform midpoint-count cuts ------------------------------- #
+    with WorkerPool(max_workers=WORKERS, mode="process",
+                    name="bench-reshard-pre") as pre_pool:
         pre_solver = PCBoundSolver(pcset, options, worker_pool=pre_pool,
                                    shard_loads=memo)
         pre_profile, pre_seconds = profiled_cold_bound(pre_solver, pre_pool)
@@ -136,15 +126,13 @@ def test_feedback_resharding_and_stealing_flatten_skew(bench_record,
             expected = serial_results[aggregate]
             assert (actual.lower, actual.upper) == \
                 (expected.lower, expected.upper), aggregate
-        pre_stats = pre_pool.statistics
     pre_skew = pre_profile.shard_cell_skew()
     assert pre_skew is not None and pre_skew > 1.0
-    assert pre_stats.tasks_stolen == 0
     assert memo.version >= 1  # the pre run fed the memo
 
-    # --- post: load-weighted cuts from the memo, stealing on ------------ #
-    with WorkerPool(max_workers=WORKERS, mode="process", steal=True,
-                    name="bench-steal-post") as post_pool:
+    # --- post: load-weighted cuts from the memo -------------------------- #
+    with WorkerPool(max_workers=WORKERS, mode="process",
+                    name="bench-reshard-post") as post_pool:
         post_solver = PCBoundSolver(pcset, options, worker_pool=post_pool,
                                     shard_loads=memo)
         post_profile, post_seconds = profiled_cold_bound(post_solver,
@@ -154,7 +142,6 @@ def test_feedback_resharding_and_stealing_flatten_skew(bench_record,
             expected = serial_results[aggregate]
             assert (actual.lower, actual.upper) == \
                 (expected.lower, expected.upper), aggregate
-        post_stats = post_pool.statistics
     post_skew = post_profile.shard_cell_skew()
     assert post_skew is not None
 
@@ -164,37 +151,7 @@ def test_feedback_resharding_and_stealing_flatten_skew(bench_record,
         f"feedback resharding did not flatten the hot shard: "
         f"{post_skew:.2f}x (with feedback) vs {pre_skew:.2f}x (uniform)")
 
-    # --- stealing: a hot affinity key queues a deep backlog ------------- #
-    # All tasks share one routing key, so affinity concentrates the round
-    # on a single worker — the skew regime stealing exists for.  The
-    # re-routing decision is coordinator-side and deterministic, so the
-    # counters are asserted on any machine; only wall time is core-gated.
-    from repro.core.cells import DecompositionStrategy
-
-    # More tasks than one worker's in-flight cap (16), so a real backlog
-    # queues behind the hot key while the other workers sit idle.
-    hot_tasks = [("hot-key", pcset, None, DecompositionStrategy.DFS_REWRITE,
-                  None)] * 40
-    with WorkerPool(max_workers=WORKERS, mode="process", steal=False,
-                    name="bench-hotkey-pre") as pool:
-        started = time.perf_counter()
-        unstolen = pool.decompose_shards(hot_tasks, batch_size=1)
-        hotkey_pre_seconds = time.perf_counter() - started
-        assert pool.statistics.tasks_stolen == 0
-    with WorkerPool(max_workers=WORKERS, mode="process", steal=True,
-                    name="bench-hotkey-post") as pool:
-        started = time.perf_counter()
-        stolen = pool.decompose_shards(hot_tasks, batch_size=1)
-        hotkey_post_seconds = time.perf_counter() - started
-        tasks_stolen = pool.statistics.tasks_stolen
-    assert tasks_stolen > 0, "a queued hot-key backlog must be stolen from"
-    reference = {cell.covering for cell in unstolen[0].cells}
-    assert all({cell.covering for cell in result.cells} == reference
-               for result in unstolen + stolen)
-
     speedup = pre_seconds / post_seconds if post_seconds else 0.0
-    steal_speedup = (hotkey_pre_seconds / hotkey_post_seconds
-                     if hotkey_post_seconds else 0.0)
     bench_record(
         constraints=len(pcset),
         workers=WORKERS,
@@ -207,27 +164,14 @@ def test_feedback_resharding_and_stealing_flatten_skew(bench_record,
         skew_speedup=speedup,
         pre_shard_cells=pre_profile.shard_cell_loads(),
         post_shard_cells=post_profile.shard_cell_loads(),
-        query_stolen_tasks=post_stats.tasks_stolen,
-        query_batches_split=post_stats.batches_split,
-        profile_stolen_tasks=post_profile.stolen_tasks(),
-        hotkey_tasks=len(hot_tasks),
-        hotkey_stolen_tasks=tasks_stolen,
-        hotkey_pre_seconds=hotkey_pre_seconds,
-        hotkey_post_seconds=hotkey_post_seconds,
-        hotkey_steal_speedup=steal_speedup,
     )
-    print(f"\nskew-aware scheduling: serial {serial_seconds * 1000:.0f} ms; "
+    print(f"\nfeedback resharding: serial {serial_seconds * 1000:.0f} ms; "
           f"pre skew {pre_skew:.2f}x in {pre_seconds * 1000:.0f} ms, "
           f"post skew {post_skew:.2f}x in {post_seconds * 1000:.0f} ms "
-          f"({speedup:.2f}x); hot-key round {tasks_stolen}/{len(hot_tasks)} "
-          f"stolen, {hotkey_pre_seconds * 1000:.0f} -> "
-          f"{hotkey_post_seconds * 1000:.0f} ms ({steal_speedup:.2f}x)")
+          f"({speedup:.2f}x)")
     if (os.cpu_count() or 1) >= 4:
         assert speedup > 0.9, (
             f"flattened run should not be slower: {speedup:.2f}x")
-        assert steal_speedup > 1.1, (
-            f"stealing only {steal_speedup:.2f}x on the hot-key backlog")
     else:
-        pytest.skip(f"{os.cpu_count()} core(s): skew reduction, steal "
-                    "counters and equality asserted; wall-clock speedups "
-                    "not meaningful")
+        pytest.skip(f"{os.cpu_count()} core(s): skew reduction and "
+                    "equality asserted; wall-clock speedup not meaningful")

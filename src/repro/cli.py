@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -236,16 +235,11 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
                             "backend and fail loudly when the two backends "
                             "return disjoint ranges")
     group.add_argument("--solve-batch-size", type=int, default=None,
-                       metavar="CELLS",
-                       help="fixed batch size for the batched multi-solve "
-                            "kernel and pool task batching (default: "
+                       metavar="SHARDS",
+                       help="region shards per worker-pool task when "
+                            "--workers fans cell enumeration out (default: "
                             "adaptive from pool depth and observed cell "
-                            "density; REPRO_SOLVE_BATCH_SIZE overrides, "
-                            "REPRO_SOLVE_BATCH=0 disables batching)")
-    group.add_argument("--steal", default=None, choices=["on", "off"],
-                       help="work stealing in the worker pool: idle workers "
-                            "take queued tasks from loaded peers under skew "
-                            "(default: on; equivalent to REPRO_STEAL)")
+                            "density); never changes a range")
     group.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock budget per query; an expired query "
@@ -291,13 +285,6 @@ def _solver_options(args: argparse.Namespace):
         options.deadline_seconds = args.deadline
     if args.degrade is not None:
         options.degrade = args.degrade
-    if args.steal is not None:
-        # Stealing is a pool scheduling knob, not a solver option — the
-        # environment steers every pool this process creates, matching
-        # how REPRO_STEAL behaves for library callers.
-        from .parallel.stealing import STEAL_ENV
-
-        os.environ[STEAL_ENV] = "1" if args.steal == "on" else "0"
     return options
 
 

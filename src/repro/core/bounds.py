@@ -102,14 +102,11 @@ class BoundOptions:
         alarm).  Must name a backend different from ``milp_backend`` to be
         a meaningful oracle, though equal names are tolerated.
     ``solve_batch_size``
-        Fixed batch size for the batched multi-solve kernel and the pool's
-        batched task kinds (``--solve-batch-size`` on the CLI).  ``None``
-        (default) sizes batches adaptively from pool depth and the
-        observed-density feed; the ``REPRO_SOLVE_BATCH_SIZE`` environment
-        override wins over this field so one variable steers parent and
-        worker processes alike.  Like ``parallel_mode``, this knob is
-        excluded from option fingerprints: batched solves are bit-identical
-        to per-cell solves, so it can never change a range.
+        Fixed number of region shards per pool ``decompose_batch`` task
+        (``--solve-batch-size`` on the CLI).  ``None`` (default) sizes
+        batches adaptively from pool depth and the observed-density feed.
+        Like ``parallel_mode``, this knob is excluded from option
+        fingerprints: it changes how work is grouped, never a range.
 
     The fourth block configures fault tolerance (see :mod:`repro.faults`):
 
@@ -514,15 +511,10 @@ class PCBoundSolver:
                 # _decompose_plan), so their enumeration still fanned out.
         program = self.program(region, attribute)
         with tracer.span("solve.serial"):
-            from ..solvers.batching import batching_enabled
-
-            if batching_enabled():
-                # The batched kernel path — one skeleton lookup, grouped
-                # (variant, sense) solves.  Bit-identical to program.bound.
-                return program.bound_batch(
-                    [(aggregate, known_sum, known_count)])[0]
-            return program.bound(aggregate, known_sum=known_sum,
-                                 known_count=known_count)
+            # The batched kernel path — one skeleton lookup, grouped
+            # (variant, sense) solves.  Bit-identical to program.bound.
+            return program.bound_batch(
+                [(aggregate, known_sum, known_count)])[0]
 
     def borrow_pool(self, workers: int):
         """The worker pool the fan-out runs on: the injected (service-owned)

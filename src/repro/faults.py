@@ -17,7 +17,7 @@ Each clause is ``action:key=value,...`` where *action* is one of
     the crash-recovery path: respawn, re-dispatch, retry budget.
 ``delay``
     The worker sleeps ``ms`` milliseconds before running the task — the
-    straggler path: deadlines, degradation, work stealing.
+    straggler path: deadlines, degradation.
 ``drop_reply``
     The worker runs the task but never sends the reply — the lost-message
     path: the coordinator sees a silent worker, not a dead one.
@@ -28,7 +28,8 @@ Each clause is ``action:key=value,...`` where *action* is one of
 and the keys select *which* dispatch the fault fires on:
 
 ``worker=N``   only tasks dispatched to worker index ``N``
-``kind=NAME``  only tasks of that kind (``solve``, ``decompose_batch``, ...)
+``kind=NAME``  only tasks of that pool task kind (``solve_batch``,
+               ``decompose_batch``, ...; an unknown kind is a parse error)
 ``task=N``     only the ``N``-th dispatch overall (1-based, deterministic
                because dispatch order is deterministic)
 ``shard=N``    only tasks whose payload position (shard index) is ``N``
@@ -74,9 +75,9 @@ __all__ = [
     "current_deadline",
 ]
 
-#: Environment variable holding the fault plan.  Mirrors ``REPRO_STEAL``:
-#: the environment wins over any configured value, so CI legs and ad-hoc
-#: shells can inject faults without touching code.
+#: Environment variable holding the fault plan.  The environment wins over
+#: any configured value, so CI legs and ad-hoc shells can inject faults
+#: without touching code.
 FAULTS_ENV = "REPRO_FAULTS"
 
 _ACTIONS = ("kill", "delay", "drop_reply", "fail")
@@ -182,10 +183,13 @@ class FaultPlan:
 def parse_faults(spec: str) -> FaultPlan:
     """Parse a fault-plan string into a :class:`FaultPlan`.
 
-    Raises :class:`~repro.exceptions.ReproError` on unknown actions or
-    malformed keys — a typo in a chaos-test plan must fail loudly, not
-    silently inject nothing.
+    Raises :class:`~repro.exceptions.ReproError` on unknown actions,
+    unknown task kinds or malformed keys — a typo in a chaos-test plan must
+    fail loudly, not silently inject nothing.
     """
+    # Lazy: the pool imports this module for its dispatch hooks.
+    from .parallel.pool import TASK_KINDS
+
     directives: list[FaultDirective] = []
     for clause in spec.split(";"):
         clause = clause.strip()
@@ -224,6 +228,10 @@ def parse_faults(spec: str) -> FaultPlan:
                         f"fault selector 'ms' needs a number, "
                         f"got {value!r}") from None
             elif key == "kind":
+                if value not in TASK_KINDS:
+                    raise ReproError(
+                        f"unknown task kind {value!r} in {clause!r} "
+                        f"(expected one of {', '.join(TASK_KINDS)})")
                 directive.kind = value
             elif key == "message":
                 directive.message = value
@@ -245,10 +253,10 @@ def faults_enabled() -> bool:
 def resolve_faults(configured: FaultPlan | str | None = None) -> FaultPlan | None:
     """The effective fault plan: the environment wins over ``configured``.
 
-    Mirrors :func:`repro.parallel.stealing.resolve_stealing` — an explicit
-    ``REPRO_FAULTS`` beats whatever the caller wired up, so chaos CI legs
-    apply to unmodified code.  Returns ``None`` when no faults are active
-    (the common case: zero overhead on the dispatch path).
+    An explicit ``REPRO_FAULTS`` beats whatever the caller wired up, so
+    chaos CI legs apply to unmodified code.  Returns ``None`` when no
+    faults are active (the common case: zero overhead on the dispatch
+    path).
     """
     raw = os.environ.get(FAULTS_ENV)
     if raw is not None and raw.strip() != "":

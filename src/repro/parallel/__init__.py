@@ -1,20 +1,16 @@
-"""Parallel solve fan-out: plan sharding, worker pools, cross-backend checks.
+"""Parallel solve fan-out: worker pools and cross-backend checks.
 
-This package scales the bound-plan pipeline out instead of up.  PR 2 made
-:class:`~repro.plan.BoundProgram` solves pure parameter patches against
-immutable compiled skeletons, which is exactly the precondition for three
-features that previously had no safe seam:
+This package scales the bound-plan pipeline out instead of up.
+:class:`~repro.plan.BoundProgram` solves are pure parameter patches against
+immutable compiled skeletons, which is what makes them safe to fan out.
+The plans it fans out come from the sharding pass in
+:mod:`repro.plan.sharding` — constraint-component splitting (independent
+overlap components solve as separate programs and merge ranges exactly)
+and region-level splitting (one-component constraint sets fan their cell
+enumeration out across sub-regions of a partition attribute and merge
+cells into the serial-identical program).  Its public names are
+re-exported here, next to the runtime that executes them:
 
-``sharding``
-    A compatibility shim: sharding is now a plan-pipeline pass
-    (:mod:`repro.plan.sharding`), with a pluggable
-    :class:`~repro.plan.sharding.ShardingStrategy` interface behind two
-    splitters — constraint-component splitting (independent overlap
-    components solve as separate programs and merge ranges exactly) and
-    region-level splitting (one-component constraint sets fan their cell
-    enumeration out across sub-regions of a partition attribute and merge
-    cells into the serial-identical program).  The names re-exported here
-    keep historical imports working.
 ``executor``
     :class:`SolveExecutor` fans independent program solves out over a thread
     pool or — for backends whose capability flags declare their compiled
@@ -35,8 +31,8 @@ features that previously had no safe seam:
 Layering: ``repro.parallel`` sits above ``repro.plan`` and ``repro.core``'s
 data types but below the service layer; :class:`repro.core.bounds.
 PCBoundSolver` drives it when ``BoundOptions.solve_workers`` asks for
-fan-out, and the service batch executor reuses :class:`SolveExecutor` for
-its phase-2 solves.
+fan-out, and the service batch executor runs its phase-2 solves on a
+:class:`WorkerPool`.
 """
 
 from .executor import SolveExecutor
@@ -46,7 +42,7 @@ from .pool import (
     shared_pool,
     shutdown_shared_pools,
 )
-from .sharding import (
+from ..plan.sharding import (
     SHARDABLE_AGGREGATES,
     ConstraintComponentSharding,
     PlanShard,

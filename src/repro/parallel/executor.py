@@ -38,7 +38,7 @@ _MODES = ("serial", "thread", "process", "auto")
 
 
 def default_workers() -> int:
-    """Default pool width, shared with the service batch executor."""
+    """Default executor width (the worker pool's heuristic)."""
     return min(8, os.cpu_count() or 1)
 
 

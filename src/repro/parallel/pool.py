@@ -55,15 +55,15 @@ from ..faults import apply_worker_fault, current_deadline, resolve_faults
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
-from ..solvers.batching import adaptive_batch_size, batching_enabled, chunked
+from ..solvers.batching import adaptive_batch_size, chunked
 from ..solvers.registry import backend_capabilities
-from .stealing import resolve_stealing
 
-__all__ = ["WorkerPool", "PoolStatistics", "shared_pool",
-           "shutdown_shared_pools", "default_pool_mode", "default_pool_workers",
-           "in_worker", "in_pool_thread", "register_for_reaping"]
+__all__ = ["WorkerPool", "PoolStatistics", "POOL_MODES", "TASK_KINDS",
+           "shared_pool", "shutdown_shared_pools", "default_pool_mode",
+           "default_pool_workers", "in_worker", "in_pool_thread",
+           "register_for_reaping"]
 
-_MODES = ("serial", "thread", "process", "auto")
+POOL_MODES = ("serial", "thread", "process", "auto")
 
 # Endpoint triple a solve task returns: (lower, upper, closed).
 Endpoints = tuple
@@ -217,31 +217,6 @@ def _handle_register(programs, sessions, task):
     return True
 
 
-def _handle_solve(programs, sessions, task):
-    _, _, key, program, aggregate, known_sum, known_count = task
-    program = _resolve_program(programs, key, program)
-    result = program.bound(aggregate, known_sum=known_sum,
-                           known_count=known_count)
-    return (result.lower, result.upper, result.closed)
-
-
-def _handle_decompose(programs, sessions, task):
-    """One region shard's cell enumeration (the region-sharding fan-out).
-
-    Decompose tasks are self-contained — the constraint set and sub-region
-    travel with the task — so they need no warm program state; the parent
-    unions the returned cells into the serial-identical decomposition
-    (:func:`repro.plan.sharding.merge_shard_decompositions`).
-    """
-    from ..core.cells import CellDecomposer
-
-    _, _, _key, pcset, region, strategy, early_stop_depth = task
-    decomposer = CellDecomposer(pcset, strategy, early_stop_depth)
-    decomposition = decomposer.decompose(region)
-    get_tracer().annotate(cells=len(decomposition.cells))
-    return decomposition
-
-
 def _handle_solve_batch(programs, sessions, task):
     """A batch of bound requests against one warm program — one task, one
     skeleton lookup, one vectorized kernel entry per (variant, sense) group
@@ -256,9 +231,13 @@ def _handle_solve_batch(programs, sessions, task):
 def _handle_decompose_batch(programs, sessions, task):
     """A batch of region-shard enumerations in one task.
 
+    Decompose batches are self-contained — the constraint set and
+    sub-regions travel with the task — so they need no warm program state;
+    the parent unions the returned cells into the serial-identical
+    decomposition (:func:`repro.plan.sharding.merge_shard_decompositions`).
     Each entry keeps its own ``pool.decompose`` child span tagged with its
     *global* shard position and cell count, so per-shard skew accounting
-    stays cell-accurate after batching collapses the task count.
+    stays cell-accurate however many shards one task carries.
     """
     from ..core.cells import CellDecomposer
 
@@ -278,23 +257,6 @@ def _handle_decompose_batch(programs, sessions, task):
     return results
 
 
-def _handle_analyze(programs, sessions, task):
-    _, _, session_key, program_key, program, query, resolved_depth = task
-    if program is not None:
-        programs.put(program_key, program)
-    analyzer = sessions.get(session_key)
-    if analyzer is None:
-        raise SolverError(
-            "worker has no registered session for an analyze task "
-            "(the parent must register before dispatching)")
-    # Adopt the parent's adaptive early-stop resolution for this pair, so
-    # this solver computes the parent's program key and finds the shipped
-    # warm program (no-op outside adaptive budgeting).
-    analyzer.solver.pin_early_stop_depth(query.region, query.attribute,
-                                         resolved_depth)
-    return analyzer.analyze(query)
-
-
 def _handle_analyze_batch(programs, sessions, task):
     """A batch of same-program queries against one registered session.
 
@@ -309,6 +271,9 @@ def _handle_analyze_batch(programs, sessions, task):
         raise SolverError(
             "worker has no registered session for an analyze task "
             "(the parent must register before dispatching)")
+    # Adopt the parent's adaptive early-stop resolution for this pair, so
+    # this solver computes the parent's program key and finds the shipped
+    # warm program (no-op outside adaptive budgeting).
     first = queries[0]
     analyzer.solver.pin_early_stop_depth(first.region, first.attribute,
                                          resolved_depth)
@@ -316,25 +281,24 @@ def _handle_analyze_batch(programs, sessions, task):
     return [analyzer.analyze(query) for query in queries]
 
 
+#: Every unit of work is a batch: a single solve, shard or query ships as a
+#: one-entry ``*_batch`` task.
 _HANDLERS = {
     "warm": _handle_warm,
     "register": _handle_register,
-    "solve": _handle_solve,
-    "decompose": _handle_decompose,
-    "analyze": _handle_analyze,
     "solve_batch": _handle_solve_batch,
     "decompose_batch": _handle_decompose_batch,
     "analyze_batch": _handle_analyze_batch,
 }
+
+#: The pool's task kinds (what a fault plan's ``kind=`` may name).
+TASK_KINDS = tuple(_HANDLERS)
 
 #: Constant span names per task kind — instrumentation sites never build
 #: names dynamically, so the tracing-disabled fast path allocates nothing.
 _TASK_SPANS = {
     "warm": "pool.warm",
     "register": "pool.register",
-    "solve": "pool.solve",
-    "decompose": "pool.decompose",
-    "analyze": "pool.analyze",
     "solve_batch": "pool.solve_batch",
     "decompose_batch": "pool.decompose_batch",
     "analyze_batch": "pool.analyze_batch",
@@ -418,8 +382,6 @@ class PoolStatistics:
     worker_restarts: int = 0
     tasks_shipped: int = 0
     cells_solved: int = 0
-    tasks_stolen: int = 0
-    batches_split: int = 0
     tasks_retried: int = 0
     tasks_quarantined: int = 0
     clean_restarts: int = 0
@@ -452,8 +414,6 @@ class PoolStatistics:
             "tasks_shipped": self.tasks_shipped,
             "cells_solved": self.cells_solved,
             "cells_per_task": self.cells_per_task,
-            "tasks_stolen": self.tasks_stolen,
-            "batches_split": self.batches_split,
             "tasks_retried": self.tasks_retried,
             "tasks_quarantined": self.tasks_quarantined,
             "clean_restarts": self.clean_restarts,
@@ -465,7 +425,6 @@ class PoolStatistics:
                               self.programs_shipped, self.warm_hits,
                               self.sessions_shipped, self.worker_restarts,
                               self.tasks_shipped, self.cells_solved,
-                              self.tasks_stolen, self.batches_split,
                               self.tasks_retried, self.tasks_quarantined,
                               self.clean_restarts, self.breaker_trips)
 
@@ -476,7 +435,6 @@ _POOL_METRICS = {field: f"pool.{field}"
                                "programs_shipped", "warm_hits",
                                "sessions_shipped", "worker_restarts",
                                "tasks_shipped", "cells_solved",
-                               "tasks_stolen", "batches_split",
                                "tasks_retried", "tasks_quarantined",
                                "clean_restarts", "breaker_trips")}
 
@@ -520,7 +478,6 @@ class _PendingTask:
     args: tuple
     worker_index: int
     attempts: int = 1
-    stolen: bool = False
 
 
 _MAX_TASK_ATTEMPTS = 3
@@ -555,15 +512,29 @@ _MAX_IN_FLIGHT_PER_WORKER = 16
 #: tail behind that worker while the rest of the pool idles.
 _BACKLOG_LIMIT = 4 * _MAX_IN_FLIGHT_PER_WORKER
 
-#: Task kinds stealing may re-route.  The decompose kinds are fully
-#: self-contained (no program shipping), and the program-addressed kinds
-#: re-ship through the ordinary warm-key bookkeeping; the analyze kinds stay
-#: pinned because moving them drags a whole session registration along.
-_STEALABLE_KINDS = ("decompose", "decompose_batch", "solve", "solve_batch")
 
-#: Of those, the kinds that carry no program at all — the cheapest steals,
-#: preferred by victim-side selection so warm caches stay warm.
-_SELF_CONTAINED_KINDS = ("decompose", "decompose_batch")
+def _solve_one(program, request: tuple) -> Endpoints:
+    """One in-process solve through the batched kernel, as an endpoint
+    triple (the inline and thread-mode counterpart of a ``solve_batch``
+    task of one request)."""
+    result = program.bound_batch([request])[0]
+    return (result.lower, result.upper, result.closed)
+
+
+def _solve_requests(pairs: list, request: tuple) -> list:
+    """One single-request ``solve_batch`` round entry per program."""
+    return [("solve_batch", key, (key, program, (request,)), position)
+            for position, (key, program) in enumerate(pairs)]
+
+
+def _scatter(collected: dict, count: int) -> list:
+    """Flatten a round's ``{position tuple: values}`` replies back into
+    global position order."""
+    results: list = [None] * count
+    for positions, values in collected.items():
+        for position, value in zip(positions, values):
+            results[position] = value
+    return results
 
 
 class WorkerPool:
@@ -584,11 +555,6 @@ class WorkerPool:
         process-safety fallback.
     name:
         Label for diagnostics.
-    steal:
-        Whether idle workers steal queued tasks from loaded peers (see
-        :mod:`repro.parallel.stealing`).  ``None`` (default) follows the
-        ``REPRO_STEAL`` environment switch, which also overrides an
-        explicit setting so one variable steers a whole process.
     task_retry_limit:
         How many times a task may kill its worker before it is quarantined
         as poison and failed with
@@ -613,13 +579,12 @@ class WorkerPool:
 
     def __init__(self, max_workers: int | None = None, mode: str = "auto",
                  backend: str | None = None, name: str = "worker-pool",
-                 steal: bool | None = None,
                  task_retry_limit: int | None = None,
                  breaker_threshold: int | None = None,
                  breaker_cooldown: float | None = None):
-        if mode not in _MODES:
+        if mode not in POOL_MODES:
             raise SolverError(
-                f"unknown pool mode {mode!r}; expected one of {_MODES}")
+                f"unknown pool mode {mode!r}; expected one of {POOL_MODES}")
         if max_workers is not None and max_workers <= 0:
             raise SolverError(
                 f"max_workers must be positive, got {max_workers}")
@@ -635,7 +600,6 @@ class WorkerPool:
         self._mode = mode
         self._backend = backend
         self._name = name
-        self._steal = steal
         if task_retry_limit is not None and task_retry_limit < 1:
             raise SolverError(
                 f"task_retry_limit must be >= 1, got {task_retry_limit}")
@@ -685,12 +649,6 @@ class WorkerPool:
     @property
     def statistics(self) -> PoolStatistics:
         return self._statistics
-
-    @property
-    def stealing(self) -> bool:
-        """Whether this pool's rounds re-route queued tasks to idle workers
-        (the resolved switch: ``REPRO_STEAL`` over the constructor flag)."""
-        return resolve_stealing(self._steal)
 
     @property
     def breaker_tripped(self) -> bool:
@@ -913,51 +871,30 @@ class WorkerPool:
                        ) -> list[Endpoints]:
         """Bound ``aggregate`` on every ``(key, program)`` pair, in order.
 
-        Returns ``(lower, upper, closed)`` endpoint triples.  Process mode
-        routes each key to its affinity worker and ships the program only if
-        that worker does not hold it warm.  With batching enabled the solves
-        run through the batched kernel (``solve_batch`` tasks in process
-        mode) — same results, one skeleton lookup per program.
+        Returns ``(lower, upper, closed)`` endpoint triples, computed by the
+        batched kernel (:meth:`~repro.plan.BoundProgram.bound_batch`).
+        Process mode ships one ``solve_batch`` task per program to its
+        affinity worker, with the program attached only if that worker does
+        not hold it warm.
         """
-        batched = batching_enabled()
         request = (aggregate, known_sum, known_count)
-
-        def run_one(pair):
-            key, program = pair
-            if batched:
-                result = program.bound_batch([request])[0]
-            else:
-                result = program.bound(aggregate, known_sum=known_sum,
-                                       known_count=known_count)
-            return (result.lower, result.upper, result.closed)
-
-        self._record_batch_traffic(len(keyed_programs), len(keyed_programs))
-        if self._inline() or len(keyed_programs) <= 1:
+        pairs = list(keyed_programs)
+        self._record_batch_traffic(len(pairs), len(pairs))
+        if self._inline() or len(pairs) <= 1:
             tracer = get_tracer()
             results = []
-            for position, pair in enumerate(keyed_programs):
-                self._check_deadline(position, len(keyed_programs))
+            for position, (_key, program) in enumerate(pairs):
+                self._check_deadline(position, len(pairs))
                 with tracer.span("pool.solve"):
-                    if len(keyed_programs) > 1:
+                    if len(pairs) > 1:
                         tracer.annotate(shard=position)
-                    results.append(run_one(pair))
+                    results.append(_solve_one(program, request))
             return results
         if self._mode == "thread":
-            return self._thread_map(run_one, list(keyed_programs),
-                                    label="pool.solve", shard_attr=True)
-        if batched:
-            requests = [
-                ("solve_batch", key, (key, program, (request,)), position)
-                for position, (key, program) in enumerate(keyed_programs)]
-            results = self._locked_round(requests)
-            return [results[position][0]
-                    for position in range(len(keyed_programs))]
-        requests = [
-            ("solve", key, (key, program, aggregate, known_sum, known_count),
-             position)
-            for position, (key, program) in enumerate(keyed_programs)]
-        results = self._locked_round(requests)
-        return [results[position] for position in range(len(keyed_programs))]
+            return self._thread_map(lambda pair: _solve_one(pair[1], request),
+                                    pairs, label="pool.solve", shard_attr=True)
+        results = self._locked_round(_solve_requests(pairs, request))
+        return [results[position][0] for position in range(len(pairs))]
 
     def solve_programs_resilient(self, keyed_programs: Sequence[tuple],
                                  aggregate: AggregateFunction,
@@ -975,20 +912,9 @@ class WorkerPool:
         substitutes each failed shard's precomputed worst-case range and
         the merged result stays sound.
         """
-        batched = batching_enabled()
         request = (aggregate, known_sum, known_count)
-
-        def run_one(pair):
-            key, program = pair
-            if batched:
-                result = program.bound_batch([request])[0]
-            else:
-                result = program.bound(aggregate, known_sum=known_sum,
-                                       known_count=known_count)
-            return (result.lower, result.upper, result.closed)
-
-        self._record_batch_traffic(len(keyed_programs), len(keyed_programs))
         pairs = list(keyed_programs)
+        self._record_batch_traffic(len(pairs), len(pairs))
         if not (self._inline() or len(pairs) <= 1) and self._mode == "thread":
             deadline = current_deadline()
 
@@ -996,7 +922,7 @@ class WorkerPool:
                 if deadline is not None and deadline.expired():
                     return (False, "deadline")
                 try:
-                    return (True, run_one(pair))
+                    return (True, _solve_one(pair[1], request))
                 except SolverError as error:
                     return (False, f"{type(error).__name__}: {error}")
 
@@ -1014,7 +940,7 @@ class WorkerPool:
             tracer = get_tracer()
             endpoints: dict = {}
             failures: dict = {}
-            for position, pair in enumerate(pairs):
+            for position, (_key, program) in enumerate(pairs):
                 if deadline is not None and deadline.expired():
                     failures[position] = "deadline"
                     continue
@@ -1022,22 +948,14 @@ class WorkerPool:
                     with tracer.span("pool.solve"):
                         if len(pairs) > 1:
                             tracer.annotate(shard=position)
-                        endpoints[position] = run_one(pair)
+                        endpoints[position] = _solve_one(program, request)
                 except SolverError as error:
                     failures[position] = f"{type(error).__name__}: {error}"
             return endpoints, failures
-        if batched:
-            requests = [
-                ("solve_batch", key, (key, program, (request,)), position)
-                for position, (key, program) in enumerate(pairs)]
-            collected, failures = self._locked_round(requests, tolerate=True)
-            return ({position: values[0]
-                     for position, values in collected.items()}, failures)
-        requests = [
-            ("solve", key, (key, program, aggregate, known_sum, known_count),
-             position)
-            for position, (key, program) in enumerate(pairs)]
-        return self._locked_round(requests, tolerate=True)
+        collected, failures = self._locked_round(
+            _solve_requests(pairs, request), tolerate=True)
+        return ({position: values[0]
+                 for position, values in collected.items()}, failures)
 
     def _check_deadline(self, completed: int, total: int) -> None:
         """Raise :class:`~repro.exceptions.QueryDeadlineError` when the
@@ -1065,11 +983,12 @@ class WorkerPool:
         the caller unions them (:func:`repro.plan.sharding.
         merge_shard_decompositions`).
 
-        In process mode with batching enabled, shards sharing an affinity
-        worker ship as one ``decompose_batch`` task carrying up to
-        ``batch_size`` enumerations (adaptive from pool depth when the
-        caller passes none) — the pipe round-trips shrink while affinity
-        routing and per-shard skew spans stay exactly as before.
+        Process mode groups shards by affinity worker and ships each group
+        as ``decompose_batch`` tasks of up to ``batch_size`` enumerations
+        (adaptive from pool depth when the caller passes none).  Grouping
+        happens *within* each worker's share of the keys, so a batch never
+        drags a shard away from the worker its key is pinned to, and every
+        entry carries its global shard position for the per-shard spans.
         """
         def run_one(task):
             from ..core.cells import CellDecomposer
@@ -1096,25 +1015,7 @@ class WorkerPool:
             self._record_batch_traffic(len(tasks), len(tasks))
             return self._thread_map(run_one, tasks,
                                     label="pool.decompose", shard_attr=True)
-        if batching_enabled():
-            size = batch_size or adaptive_batch_size(len(tasks),
-                                                     self._max_workers)
-            if size > 1:
-                return self._decompose_batched(tasks, size)
-        self._record_batch_traffic(len(tasks), len(tasks))
-        requests = [("decompose", task[0], tuple(task), position)
-                    for position, task in enumerate(tasks)]
-        results = self._locked_round(requests)
-        return [results[position] for position in range(len(tasks))]
-
-    def _decompose_batched(self, tasks: list, size: int) -> list:
-        """Chunk decompositions per affinity worker into batch tasks.
-
-        Grouping happens *within* each worker's share of the keys, so a
-        batch never drags a shard away from the worker whose cache its key
-        is pinned to.  Each batch's result list scatters back to the global
-        shard order through the recorded position tuples.
-        """
+        size = batch_size or adaptive_batch_size(len(tasks), self._max_workers)
         groups: dict[int, list[tuple[int, tuple]]] = {}
         for position, task in enumerate(tasks):
             groups.setdefault(self.worker_for(task[0]), []).append(
@@ -1129,16 +1030,7 @@ class WorkerPool:
                 requests.append(("decompose_batch", key, (key, entries),
                                  positions))
         self._record_batch_traffic(len(requests), len(tasks))
-        collected = self._locked_round(requests)
-        # Scatter through the *collected* position tuples, not the request
-        # list: work stealing may have split a queued batch mid-round, so
-        # results can come back under finer-grained position tuples than
-        # were dispatched.
-        results: list = [None] * len(tasks)
-        for positions, values in collected.items():
-            for position, value in zip(positions, values):
-                results[position] = value
-        return results
+        return _scatter(self._locked_round(requests), len(tasks))
 
     def analyze(self, session_key, analyzer,
                 keyed_queries: Sequence[tuple]) -> list:
@@ -1147,59 +1039,31 @@ class WorkerPool:
 
         Thread/serial modes run ``analyzer.analyze`` directly (shared
         memory).  Process mode registers the analyzer on each involved
-        worker once, ships cold programs alongside their first query,
-        routes by program key so repeated traffic hits warm caches, and
-        forwards the parent's resolved adaptive early-stop depth so the
-        worker-side solver computes matching keys.  With batching enabled,
-        queries sharing a program key (and depth resolution) ship as one
-        ``analyze_batch`` task per chunk.
+        worker once, routes by program key so repeated traffic hits warm
+        caches, and ships queries sharing a program key and depth
+        resolution — the pair that must agree for one worker-side
+        early-stop pin to serve them all — as ``analyze_batch`` tasks of up
+        to the adaptive batch size.  The first entry's program rides along
+        for the cold-cache case.
         """
         self.register_session(session_key, analyzer)
-
-        def run_one(entry):
-            return analyzer.analyze(entry[2])
-
         entries = list(keyed_queries)
         if self._inline() or len(entries) <= 1:
             self._record_batch_traffic(len(entries), len(entries))
-            return [run_one(entry) for entry in entries]
+            return [analyzer.analyze(entry[2]) for entry in entries]
         if self._mode == "thread":
             self._record_batch_traffic(len(entries), len(entries))
-            return self._thread_map(run_one, entries, label="pool.analyze")
-        if batching_enabled():
-            size = adaptive_batch_size(len(entries), self._max_workers)
-            if size > 1:
-                return self._analyze_batched(session_key, entries, size)
-        self._record_batch_traffic(len(entries), len(entries))
-        requests = [
-            ("analyze", program_key,
-             (session_key, program_key, program, query, resolved_depth),
-             position)
-            for position, (program_key, program, query, resolved_depth)
-            in enumerate(entries)]
-        results = self._locked_round(requests)
-        return [results[position] for position in range(len(entries))]
-
-    def _analyze_batched(self, session_key, entries: list, size: int) -> list:
-        """Chunk same-program queries into ``analyze_batch`` tasks.
-
-        Queries group by (program key, resolved depth) — the pair that must
-        agree for one worker-side pin to serve the whole chunk — and the
-        first entry's program rides along for the cold-cache case.
-        """
+            return self._thread_map(lambda entry: analyzer.analyze(entry[2]),
+                                    entries, label="pool.analyze")
+        size = adaptive_batch_size(len(entries), self._max_workers)
         groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
         for position, (program_key, program, query,
                        resolved_depth) in enumerate(entries):
-            group_key = (program_key, resolved_depth)
-            if group_key not in groups:
-                groups[group_key] = []
-                order.append(group_key)
-            groups[group_key].append((position, program, query))
+            groups.setdefault((program_key, resolved_depth), []).append(
+                (position, program, query))
         requests = []
-        for group_key in order:
-            program_key, resolved_depth = group_key
-            for chunk in chunked(groups[group_key], size):
+        for (program_key, resolved_depth), members in groups.items():
+            for chunk in chunked(members, size):
                 program = next((candidate for _, candidate, _ in chunk
                                 if candidate is not None), None)
                 queries = tuple(query for _, _, query in chunk)
@@ -1209,12 +1073,7 @@ class WorkerPool:
                      (session_key, program_key, program, queries,
                       resolved_depth), positions))
         self._record_batch_traffic(len(requests), len(entries))
-        collected = self._locked_round(requests)
-        results: list = [None] * len(entries)
-        for positions, values in collected.items():
-            for position, value in zip(positions, values):
-                results[position] = value
-        return results
+        return _scatter(self._locked_round(requests), len(entries))
 
     # ------------------------------------------------------------------ #
     # Thread-mode plumbing
@@ -1314,7 +1173,6 @@ class WorkerPool:
         sound worst-case ranges for those positions.
         """
         self._bump("rounds")
-        steal = self.stealing
         deadline = current_deadline()
         self._quarantined = []
         failures: dict = {}
@@ -1362,7 +1220,7 @@ class WorkerPool:
                         deadline=deadline.seconds,
                         elapsed=deadline.elapsed(),
                         completed=len(collected), pending=abandoned)
-                self._feed_backlogs(backlogs, overflow, pending, steal)
+                self._feed_backlogs(backlogs, overflow, pending)
                 if not pending:
                     continue
                 connections = {}
@@ -1422,30 +1280,26 @@ class WorkerPool:
         """Splice a reply's worker spans into the coordinator's trace.
 
         The adopted subtree's root is tagged with the worker that ran the
-        task and — for the per-shard task kinds — the shard position, which
-        is what :meth:`repro.obs.profile.QueryProfile.shard_skew` reads."""
+        task and — for a per-shard ``solve_batch`` — the shard position,
+        which is what :meth:`repro.obs.profile.QueryProfile.shard_skew`
+        reads (``decompose_batch`` entries tag their own child spans)."""
         if not spans:
             return
         root = get_tracer().adopt(spans)
         if root is None:
             return
         root.attributes.setdefault("worker", worker_index)
-        if task.stolen:
-            root.attributes.setdefault("stolen", True)
         if task.attempts > 1:
             # Crash-retried (or re-shipped) work is visible per task in
             # EXPLAIN ANALYZE, not just in the aggregate counters.
             root.attributes.setdefault("attempts", task.attempts)
-        if task.position is not None and task.kind in (
-                "solve", "decompose", "solve_batch"):
+        if task.position is not None and task.kind == "solve_batch":
             root.attributes.setdefault("shard", task.position)
 
     def _feed_backlogs(self, backlogs: dict, overflow: deque,
-                       pending: dict, steal: bool) -> None:
+                       pending: dict) -> None:
         """Top workers up to the in-flight cap: own backlog first (affinity
-        order), then the shared overflow onto the least loaded workers,
-        then — with stealing on — queued tasks re-routed from loaded peers
-        to fully idle ones."""
+        order), then the shared overflow onto the least loaded workers."""
         outstanding: dict[int, int] = {}
         for task in pending.values():
             outstanding[task.worker_index] = \
@@ -1467,111 +1321,6 @@ class WorkerPool:
             kind, args, position = overflow.popleft()
             self._dispatch(kind, args, position, pending, worker_index=target)
             outstanding[target] = outstanding.get(target, 0) + 1
-        if steal:
-            self._steal_into_idle(backlogs, pending, outstanding)
-
-    def _steal_into_idle(self, backlogs: dict, pending: dict,
-                         outstanding: dict) -> None:
-        """Re-route queued tasks from loaded workers to fully idle ones.
-
-        A thief is a worker with nothing queued *and* nothing in flight —
-        topping up a merely-unsaturated worker would churn its cache for no
-        concurrency gain.  Victims are scanned deepest backlog first, and
-        each steal moves one whole task (:meth:`_pick_steal` chooses which).
-        When idle workers outnumber every queued task — the critical shard's
-        batch queue has out-lasted its siblings — the deepest backlog's last
-        splittable ``decompose_batch`` is halved instead: the thief takes
-        one half, the victim keeps the other, and the merged decomposition
-        stays bit-identical because entries carry their global positions.
-        """
-        while True:
-            thieves = [index for index in range(self._max_workers)
-                       if not backlogs.get(index)
-                       and outstanding.get(index, 0) == 0]
-            if not thieves:
-                return
-            victims = sorted((index for index, backlog in backlogs.items()
-                              if backlog),
-                             key=lambda index: -len(backlogs[index]))
-            if not victims:
-                return
-            queued = sum(len(backlogs[index]) for index in victims)
-            chosen = None
-            if len(thieves) > queued:
-                for victim in victims:
-                    chosen = self._split_queued_batch(backlogs[victim])
-                    if chosen is not None:
-                        break
-            if chosen is None:
-                for victim in victims:
-                    chosen = self._pick_steal(backlogs[victim], victim)
-                    if chosen is not None:
-                        break
-            if chosen is None:
-                return  # nothing queued is stealable (or splittable)
-            kind, args, position = chosen
-            thief = thieves[0]
-            self._bump("tasks_stolen")
-            self._dispatch(kind, args, position, pending, worker_index=thief,
-                           stolen=True)
-            outstanding[thief] = outstanding.get(thief, 0) + 1
-
-    def _pick_steal(self, backlog: deque, victim_index: int):
-        """Choose the queued task a thief takes, scanning from the tail.
-
-        The tail is the work the victim reaches last, so stealing there
-        overlaps the most wall time.  Affinity-aware preference: the
-        self-contained decompose kinds first (nothing to re-ship), then
-        program tasks whose key the victim does *not* hold warm (a cold-key
-        steal costs the victim's cache nothing), then any stealable kind.
-        The analyze kinds are never stolen — moving one drags a session
-        registration along.
-        """
-        warm_keys: frozenset | set = frozenset()
-        if self._workers is not None:
-            warm_keys = self._workers[victim_index].warm_keys
-        best: tuple[int, int] | None = None
-        for offset in range(len(backlog) - 1, -1, -1):
-            kind, args, _position = backlog[offset]
-            if kind not in _STEALABLE_KINDS:
-                continue
-            if kind in _SELF_CONTAINED_KINDS:
-                rank = 0
-            elif args[0] not in warm_keys:
-                rank = 1
-            else:
-                rank = 2
-            if best is None or rank < best[0]:
-                best = (rank, offset)
-            if rank == 0:
-                break
-        if best is None:
-            return None
-        task = backlog[best[1]]
-        del backlog[best[1]]
-        return task
-
-    def _split_queued_batch(self, backlog: deque):
-        """Halve the last queued ``decompose_batch`` carrying >= 2 entries.
-
-        Returns the stolen half as a complete task triple and re-queues the
-        kept half in place; None when nothing queued can split.  Entries
-        and their position tuple slice in lockstep, so both halves scatter
-        into the global shard order exactly as the unsplit batch would.
-        """
-        for offset in range(len(backlog) - 1, -1, -1):
-            kind, args, position = backlog[offset]
-            if kind != "decompose_batch":
-                continue
-            key, entries = args
-            if len(entries) < 2:
-                continue
-            half = len(entries) // 2
-            backlog[offset] = ("decompose_batch", (key, entries[:half]),
-                               position[:half])
-            self._bump("batches_split")
-            return ("decompose_batch", (key, entries[half:]), position[half:])
-        return None
 
     def _retry_cache_miss(self, task: _PendingTask, pending: dict) -> bool:
         """Re-dispatch a task whose worker evicted (or lost) its program.
@@ -1582,7 +1331,7 @@ class WorkerPool:
         program attached; returns False (caller raises) when there is
         nothing to re-ship or the task keeps failing.
         """
-        if task.kind not in ("solve", "solve_batch"):
+        if task.kind != "solve_batch":
             return False
         key, program = task.args[0], task.args[1]
         if program is None or task.attempts >= _MAX_TASK_ATTEMPTS:
@@ -1590,7 +1339,7 @@ class WorkerPool:
         self._workers[task.worker_index].warm_keys.discard(key)
         self._dispatch(task.kind, task.args, task.position, pending,
                        worker_index=task.worker_index,
-                       attempts=task.attempts + 1, stolen=task.stolen)
+                       attempts=task.attempts + 1)
         return True
 
     def _fault_directive(self, worker_index: int, kind: str,
@@ -1598,8 +1347,8 @@ class WorkerPool:
         """Consult the fault plan for one dispatch (None without a plan).
 
         Batch positions are tuples; the plan's ``shard`` selector matches
-        their first (global) position so a plan written against unbatched
-        shard numbering keeps firing when batching groups tasks.
+        their first (global) position, so a plan keyed on a shard number
+        fires however many shards its batch carries.
         """
         if self._faults is None:
             return None
@@ -1611,14 +1360,13 @@ class WorkerPool:
 
     def _dispatch(self, kind: str, args: tuple,
                   position: int | tuple | None, pending: dict,
-                  worker_index: int, attempts: int = 1,
-                  stolen: bool = False) -> None:
+                  worker_index: int, attempts: int = 1) -> None:
         if self._workers is None:
             raise SolverError("worker pool is shut down")
         worker = self._workers[worker_index]
         if not worker.alive:
             worker = self._respawn(worker_index, pending)
-        if kind in ("analyze", "analyze_batch"):
+        if kind == "analyze_batch":
             session_key = args[0]
             if session_key not in worker.sessions:
                 self._dispatch("register", (session_key,
@@ -1635,7 +1383,7 @@ class WorkerPool:
                                          position)) + payload[2:]
         pending[task_id] = _PendingTask(position=position, kind=kind,
                                        args=args, worker_index=worker_index,
-                                       attempts=attempts, stolen=stolen)
+                                       attempts=attempts)
         try:
             worker.connection.send(payload)
         except (BrokenPipeError, OSError):
@@ -1657,28 +1405,18 @@ class WorkerPool:
             worker.warm_keys.add(key)
             self._bump("programs_shipped")
             return ("warm", task_id, key, program)
-        if kind == "solve":
-            key, program, aggregate, known_sum, known_count = args
-            shipped = self._maybe_ship(worker, key, program)
-            return ("solve", task_id, key, shipped, aggregate,
-                    known_sum, known_count)
         if kind == "solve_batch":
             key, program, batch_requests = args
             shipped = self._maybe_ship(worker, key, program)
             return ("solve_batch", task_id, key, shipped, batch_requests)
-        if kind in ("decompose", "decompose_batch"):
+        if kind == "decompose_batch":
             # Self-contained: no program shipping or warm bookkeeping.
             return (kind, task_id) + args
-        if kind == "analyze_batch":
-            session_key, program_key, program, queries, resolved_depth = args
-            shipped = self._maybe_ship(worker, program_key, program)
-            return ("analyze_batch", task_id, session_key, program_key,
-                    shipped, queries, resolved_depth)
-        assert kind == "analyze"
-        session_key, program_key, program, query, resolved_depth = args
+        assert kind == "analyze_batch"
+        session_key, program_key, program, queries, resolved_depth = args
         shipped = self._maybe_ship(worker, program_key, program)
-        return ("analyze", task_id, session_key, program_key, shipped, query,
-                resolved_depth)
+        return ("analyze_batch", task_id, session_key, program_key,
+                shipped, queries, resolved_depth)
 
     def _maybe_ship(self, worker: _ProcessWorker, key, program):
         """Ship ``program`` only if ``worker`` does not hold ``key`` warm."""
@@ -1764,7 +1502,7 @@ class WorkerPool:
             self._bump("tasks_retried")
             self._dispatch(task.kind, task.args, task.position, pending,
                            worker_index=worker_index,
-                           attempts=task.attempts + 1, stolen=task.stolen)
+                           attempts=task.attempts + 1)
         return self._workers[worker_index]
 
     def __repr__(self) -> str:

@@ -38,7 +38,6 @@ from ..exceptions import SolverError
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
-from ..solvers.batching import batching_enabled, forced_batch_size
 from ..solvers.lp import LPSolution, Sense, SolutionStatus
 from ..solvers.milp import CompiledMILP, MILPModel, solve_milp
 from ..solvers.registry import resolve_backend
@@ -506,12 +505,10 @@ class BoundProgram:
                     ) -> list[tuple[SolutionStatus, float | None]]:
         """Batched analogue of :meth:`_solve_value`, minus the status policy.
 
-        One skeleton lookup and one lock acquisition cover the whole batch;
-        the kernel entry is chunked only when ``REPRO_SOLVE_BATCH_SIZE``
-        forces a fixed size (the degenerate size-1 case routes every row
-        through its own kernel entry, pinning batched == per-cell).  Returns
-        raw per-row ``(status, objective)`` pairs; callers apply the status
-        policy (:meth:`_checked_value`).
+        One skeleton lookup and one kernel entry
+        (:meth:`~repro.solvers.milp.CompiledMILP.solve_objectives`) cover
+        the whole matrix.  Returns raw per-row ``(status, objective)``
+        pairs; callers apply the status policy (:meth:`_checked_value`).
         """
         count = len(rows)
         if count == 0:
@@ -520,25 +517,12 @@ class BoundProgram:
         if not self._reuse:
             return [self._rebuild_objective(variant, row, sense)
                     for row in rows]
-        skeleton = self._skeleton(variant)
-        if not batching_enabled():
-            return [skeleton.solve_objective(np.asarray(row, dtype=float),
-                                             sense) for row in rows]
         matrix = np.array(rows, dtype=float)
         if matrix.ndim != 2:
             matrix = matrix.reshape(count, -1)
-        histogram = get_registry().histogram("solver.batch_size",
-                                             buckets=_BATCH_SIZE_BUCKETS)
-        limit = forced_batch_size()
-        if limit is None or limit >= count:
-            histogram.observe(count)
-            return skeleton.solve_objectives(matrix, sense)
-        results: list[tuple[SolutionStatus, float | None]] = []
-        for start in range(0, count, limit):
-            chunk = matrix[start:start + limit]
-            histogram.observe(len(chunk))
-            results.extend(skeleton.solve_objectives(chunk, sense))
-        return results
+        get_registry().histogram("solver.batch_size",
+                                 buckets=_BATCH_SIZE_BUCKETS).observe(count)
+        return self._skeleton(variant).solve_objectives(matrix, sense)
 
     @staticmethod
     def _checked_value(status: SolutionStatus, objective: float | None,

@@ -8,8 +8,6 @@ machine, every time:
 * **kill mid-batch** — a worker dies holding dispatched tasks; the round
   retries them elsewhere and the surviving results are bit-identical to
   the serial path, for all five aggregates;
-* **kill during steal** — same contract with work stealing re-routing
-  tasks between the kill and the retry;
 * **poison quarantine** — a task that kills its worker twice is
   quarantined and fails *only its own query* with
   :class:`~repro.exceptions.PoisonTaskError` while sibling tasks and
@@ -69,7 +67,6 @@ def _isolated_fault_env(monkeypatch):
     """Each test states its own fault plan; the chaos CI leg's global
     ``REPRO_FAULTS`` must not leak into scenarios scripted differently."""
     monkeypatch.delenv(FAULTS_ENV, raising=False)
-    monkeypatch.delenv("REPRO_STEAL", raising=False)
     yield
 
 
@@ -120,23 +117,30 @@ class TestFaultPlanParsing:
     def test_selectors_fire_deterministically(self):
         plan = parse_faults("delay:worker=0,nth=2,ms=5")
         # nth counts only dispatches matching the other selectors.
-        assert plan.on_dispatch(1, "solve", 0) is None
-        assert plan.on_dispatch(0, "solve", 0) is None  # 1st match
-        assert plan.on_dispatch(0, "solve", 1) == ("delay", 5.0)
-        assert plan.on_dispatch(0, "solve", 2) is None  # count exhausted
+        assert plan.on_dispatch(1, "solve_batch", 0) is None
+        assert plan.on_dispatch(0, "solve_batch", 0) is None  # 1st match
+        assert plan.on_dispatch(0, "solve_batch", 1) == ("delay", 5.0)
+        assert plan.on_dispatch(0, "solve_batch", 2) is None  # count exhausted
         assert plan.fired() == 1
         plan.reset()
         assert plan.fired() == 0
 
     def test_count_caps_firings(self):
         plan = parse_faults("fail:shard=0,count=2,message=boom")
-        assert plan.on_dispatch(0, "solve", 0) == ("fail", "boom")
-        assert plan.on_dispatch(1, "solve", 0) == ("fail", "boom")
-        assert plan.on_dispatch(2, "solve", 0) is None
+        assert plan.on_dispatch(0, "solve_batch", 0) == ("fail", "boom")
+        assert plan.on_dispatch(1, "solve_batch", 0) == ("fail", "boom")
+        assert plan.on_dispatch(2, "solve_batch", 0) is None
 
     def test_first_matching_clause_wins(self):
         plan = parse_faults("delay:ms=1;kill:worker=0")
-        assert plan.on_dispatch(0, "solve", 0) == ("delay", 1.0)
+        assert plan.on_dispatch(0, "solve_batch", 0) == ("delay", 1.0)
+
+    def test_every_pool_task_kind_is_selectable(self):
+        from repro.parallel.pool import TASK_KINDS
+
+        for kind in TASK_KINDS:
+            plan = parse_faults(f"fail:kind={kind}")
+            assert plan.on_dispatch(0, kind, 0) == ("fail", "injected fault")
 
     @pytest.mark.parametrize("spec", [
         "explode:worker=1",          # unknown action
@@ -144,6 +148,8 @@ class TestFaultPlanParsing:
         "kill:worker=x",             # non-integer selector
         "kill:bogus=1",              # unknown selector
         "kill:count=0",              # count below 1
+        "kill:kind=solv",            # unknown task kind
+        "kill:kind=solve",           # single-item kinds ship as *_batch
     ])
     def test_malformed_plans_fail_loudly(self, spec):
         with pytest.raises(ReproError):
@@ -208,7 +214,7 @@ class TestDeadlines:
 
 
 # --------------------------------------------------------------------- #
-# Crash recovery: kill mid-batch, kill during steal
+# Crash recovery: kill mid-batch
 # --------------------------------------------------------------------- #
 class TestKillRecovery:
     def test_kill_mid_batch_bit_identical_all_aggregates(self, monkeypatch):
@@ -235,21 +241,6 @@ class TestKillRecovery:
         # `repro stats` renders).
         assert counter_value("pool.tasks_retried") >= \
             retried_before + len(ALL_AGGREGATES)
-
-    def test_kill_during_steal_bit_identical(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEAL", "1")
-        monkeypatch.setenv(FAULTS_ENV, "kill:task=2")
-        solver = make_solver()
-        keyed = keyed_shard_programs(solver, shards=6)
-        pool = WorkerPool(max_workers=2, mode="process")
-        try:
-            recovered = pool.solve_programs(keyed, AggregateFunction.SUM)
-            assert recovered == direct_endpoints(keyed,
-                                                 AggregateFunction.SUM)
-            assert pool.statistics.worker_restarts >= 1
-            assert pool.statistics.tasks_retried >= 1
-        finally:
-            pool.shutdown()
 
     def test_injected_failure_propagates_once(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "fail:task=1,message=chaos-proof")

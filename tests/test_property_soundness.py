@@ -33,6 +33,7 @@ from repro.core.builders import (
 )
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.predicates import Predicate
+from repro.plan.program import BoundProgram
 from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
@@ -411,25 +412,30 @@ def test_bound_batch_matches_per_request_across_backends(backend):
             (want.lower, want.upper, want.closed), (backend, aggregate)
 
 
+def per_request_bound_batch(program, requests):
+    """``bound_batch`` answered by one per-cell ``bound`` call per request:
+    patched in, it turns every solver path into the per-cell reference."""
+    return [program.bound(aggregate, known_sum=known_sum,
+                          known_count=known_count)
+            for aggregate, known_sum, known_count in requests]
+
+
 @pytest.mark.parametrize("seed", [515, 616])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_batched_solves_identical_to_unbatched(seed, kind, monkeypatch):
-    """REPRO_SOLVE_BATCH on vs off: endpoint-identical on serial + sharded.
+    """Batched kernel vs per-request ``program.bound``: endpoint-identical
+    on serial + sharded.
 
-    The batched kernel's hard constraint — flipping the toggle (or forcing
-    the degenerate one-cell batches) must never move an endpoint, for all
-    five aggregates, on the serial and thread-sharded paths alike.
+    The batched kernel's hard constraint — it (and one-shard batches) must
+    never move an endpoint away from the per-cell solves, for all five
+    aggregates, on the serial and thread-sharded paths alike.
     """
     _, _, missing, pcset, queries = scenario(seed, kind)
 
-    def ranges(env):
-        for name, value in env.items():
-            if value is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, value)
+    def ranges(**extra):
         results = []
-        for options in (BoundOptions(), BoundOptions(solve_workers=3)):
+        for options in (BoundOptions(**extra),
+                        BoundOptions(solve_workers=3, **extra)):
             solver = PCBoundSolver(pcset, options)
             for query in queries:
                 result = solver.bound(query.aggregate, query.attribute,
@@ -437,10 +443,11 @@ def test_batched_solves_identical_to_unbatched(seed, kind, monkeypatch):
                 results.append((result.lower, result.upper, result.closed))
         return results
 
-    baseline = ranges({"REPRO_SOLVE_BATCH": "0", "REPRO_SOLVE_BATCH_SIZE": None})
-    batched = ranges({"REPRO_SOLVE_BATCH": "1", "REPRO_SOLVE_BATCH_SIZE": None})
-    degenerate = ranges({"REPRO_SOLVE_BATCH": "1",
-                         "REPRO_SOLVE_BATCH_SIZE": "1"})
+    with monkeypatch.context() as patch:
+        patch.setattr(BoundProgram, "bound_batch", per_request_bound_batch)
+        baseline = ranges()
+    batched = ranges()
+    degenerate = ranges(solve_batch_size=1)
     assert batched == baseline
     assert degenerate == baseline
 
@@ -449,22 +456,23 @@ def test_batched_process_pool_matches_serial(monkeypatch):
     """Batched task kinds through real process workers == serial ranges.
 
     Covers solve_batch (sharded COUNT/SUM/MIN/MAX) and the batched region
-    decomposition against the unbatched serial baseline on the same
-    constraint set, plus AVG, which a pooled solver runs on the serial
-    program and must answer bit-identically.
+    decomposition against a per-cell serial baseline (per-request
+    ``program.bound``) on the same constraint set, plus AVG, which a pooled
+    solver runs on the serial program and must answer bit-identically.
     """
     from repro.parallel.pool import WorkerPool
 
     _, _, missing, pcset, queries = scenario(505, "mandatory")
-    monkeypatch.setenv("REPRO_SOLVE_BATCH", "0")
     serial = PCBoundSolver(pcset, BoundOptions())
     baseline = {}
-    for query in queries:
-        result = serial.bound(query.aggregate, query.attribute, query.region)
-        baseline[id(query)] = result
-        truth = query.ground_truth(missing)
-        assert_contains(result, truth, query, "serial baseline")
-    monkeypatch.setenv("REPRO_SOLVE_BATCH", "1")
+    with monkeypatch.context() as patch:
+        patch.setattr(BoundProgram, "bound_batch", per_request_bound_batch)
+        for query in queries:
+            result = serial.bound(query.aggregate, query.attribute,
+                                  query.region)
+            baseline[id(query)] = result
+            truth = query.ground_truth(missing)
+            assert_contains(result, truth, query, "serial baseline")
     with WorkerPool(max_workers=3, mode="process", name="batch-test") as pool:
         sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3),
                                 worker_pool=pool)

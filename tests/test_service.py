@@ -18,7 +18,7 @@ from repro.core.constraints import (
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SolverError
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service import (
@@ -126,6 +126,10 @@ class TestBatchExecutor:
     def test_rejects_bad_worker_count(self):
         with pytest.raises(ValueError):
             BatchExecutor(max_workers=0)
+
+    def test_rejects_unknown_pool_mode(self):
+        with pytest.raises(SolverError, match="unknown pool mode 'fibers'"):
+            BatchExecutor(mode="fibers")
 
     def test_empty_batch(self):
         executor = BatchExecutor(max_workers=2)

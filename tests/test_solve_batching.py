@@ -1,8 +1,8 @@
 """Unit coverage for the batched-solve machinery around the kernel.
 
 The bit-identity of batched vs per-cell *results* lives in
-``test_property_soundness.py``; this module pins the plumbing: the shared
-knobs (:mod:`repro.solvers.batching`), the pool's batched task kinds and
+``test_property_soundness.py``; this module pins the plumbing: batch
+sizing (:mod:`repro.solvers.batching`), the pool's batched task kinds and
 traffic counters, the admission price inversion, and the profile's
 batch-aware shard accounting.
 """
@@ -12,57 +12,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.solvers.batching import (
-    MAX_BATCH_SIZE,
-    adaptive_batch_size,
-    batching_enabled,
-    chunked,
-    forced_batch_size,
-    resolve_batch_size,
-)
+from repro.solvers.batching import MAX_BATCH_SIZE, adaptive_batch_size, chunked
 
 
 class TestKnobs:
-    def test_batching_defaults_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH", raising=False)
-        assert batching_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", " OFF "])
-    def test_batching_disable_spellings(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", value)
-        assert not batching_enabled()
-
-    @pytest.mark.parametrize("value", ["1", "on", "yes", ""])
-    def test_batching_enable_spellings(self, value, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", value)
-        assert batching_enabled()
-
-    def test_forced_size_parsing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE", raising=False)
-        assert forced_batch_size() is None
-        monkeypatch.setenv("REPRO_SOLVE_BATCH_SIZE", "4")
-        assert forced_batch_size() == 4
-        monkeypatch.setenv("REPRO_SOLVE_BATCH_SIZE", "0")
-        assert forced_batch_size() is None
-        monkeypatch.setenv("REPRO_SOLVE_BATCH_SIZE", "junk")
-        assert forced_batch_size() is None
-
-    def test_environment_wins_over_configured(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE_BATCH_SIZE", "8")
-        assert resolve_batch_size(configured=3) == 8
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE")
-        assert resolve_batch_size(configured=3) == 3
-        assert resolve_batch_size(configured=None) is None
-
-    def test_adaptive_targets_one_batch_per_worker(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE", raising=False)
+    def test_adaptive_targets_one_batch_per_worker(self):
         assert adaptive_batch_size(12, 4) == 3
         assert adaptive_batch_size(13, 4) == 4
         assert adaptive_batch_size(1, 4) == 1
         assert adaptive_batch_size(0, 4) == 1
 
-    def test_adaptive_clamps_and_density_shrink(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE", raising=False)
+    def test_adaptive_clamps_and_density_shrink(self):
         # Clamp: one worker and 1000 tasks still caps at MAX_BATCH_SIZE.
         assert adaptive_batch_size(1000, 1) == MAX_BATCH_SIZE
         # Heavy estimated enumeration shrinks the batch so one task never
@@ -72,8 +32,7 @@ class TestKnobs:
         assert heavy < light
         assert heavy >= 1
 
-    def test_fixed_size_wins_outright(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE_BATCH_SIZE", raising=False)
+    def test_fixed_size_wins_outright(self):
         assert adaptive_batch_size(1000, 1, configured=5) == 5
 
     def test_chunked(self):
@@ -94,6 +53,74 @@ class TestPoolBatchTraffic:
         assert pool.statistics.cells_per_task == 5.0
         snapshot = pool.statistics.snapshot()
         assert snapshot.as_dict()["cells_per_task"] == 5.0
+
+    def test_every_process_pool_task_is_a_batch(self):
+        """Two entries over two workers make the adaptive batch size 1, yet
+        every task still ships as a one-entry ``*_batch`` task whose
+        ``pool.decompose`` children keep their global shard positions, and
+        every result equals the serial one."""
+        import os
+
+        from repro.core.bounds import BoundOptions
+        from repro.core.cells import CellDecomposer, DecompositionStrategy
+        from repro.core.engine import ContingencyQuery, PCAnalyzer
+        from repro.core.predicates import Predicate
+        from repro.obs.trace import get_tracer
+        from repro.parallel.pool import WorkerPool
+        from repro.relational.aggregates import AggregateFunction
+
+        from test_property_soundness import scenario
+
+        _, _, _, pcset, _ = scenario(818, "disjoint")
+        analyzer = PCAnalyzer(pcset, options=BoundOptions())
+        solver = analyzer.solver
+        regions = [Predicate.range("t", 0.0, 40.0),
+                   Predicate.range("t", 30.0, 100.0)]
+        queries = [ContingencyQuery.sum("v", region) for region in regions]
+        shard_tasks = [(f"shard-{index}", pcset, region,
+                        DecompositionStrategy.DFS_REWRITE, None)
+                       for index, region in enumerate(regions)]
+        keyed_programs = [(solver.program_key(region, "v"),
+                           solver.program(region, "v")) for region in regions]
+        keyed_queries = [
+            (solver.program_key(query.region, query.attribute),
+             solver.program(query.region, query.attribute), query,
+             solver.resolved_early_stop_depth(query.region, query.attribute))
+            for query in queries]
+
+        tracer = get_tracer()
+        with WorkerPool(max_workers=2, mode="process",
+                        name="batch-only-test") as pool:
+            with tracer.trace("round", force=True) as trace:
+                decompositions = pool.decompose_shards(shard_tasks)
+                reports = pool.analyze("batch-only", analyzer, keyed_queries)
+                endpoints = pool.solve_programs(keyed_programs,
+                                                AggregateFunction.SUM)
+
+        coordinator = f"{os.getpid():x}-"
+        spans = list(trace)
+        worker_ids = {span.span_id for span in spans
+                      if not span.span_id.startswith(coordinator)}
+        roots = [span for span in spans if span.span_id in worker_ids
+                 and span.parent_id not in worker_ids]
+        # Session registration is the only non-work task a round may ship.
+        work = [span.name for span in roots if span.name != "pool.register"]
+        assert sorted(work) == ["pool.analyze_batch"] * 2 + \
+            ["pool.decompose_batch"] * 2 + ["pool.solve_batch"] * 2
+        children = [span for span in spans if span.name == "pool.decompose"]
+        assert sorted(span.attributes["shard"] for span in children) == [0, 1]
+
+        for (_key, _pcset, region, strategy, _depth), got in zip(
+                shard_tasks, decompositions):
+            want = CellDecomposer(pcset, strategy).decompose(region)
+            assert [cell.covering for cell in got.cells] == \
+                [cell.covering for cell in want.cells]
+        for query, report in zip(queries, reports):
+            want = analyzer.analyze(query)
+            assert (report.lower, report.upper) == (want.lower, want.upper)
+        for (_key, program), got in zip(keyed_programs, endpoints):
+            want = program.bound(AggregateFunction.SUM)
+            assert got == (want.lower, want.upper, want.closed)
 
 
 class TestAdmissionInversion:
@@ -219,9 +246,8 @@ class TestProfileBatchAccounting:
         assert payload["batched_tasks"] == 2.0
         assert payload["batched_cells"] == 10.0
 
-    def test_solver_batch_size_histogram_observes(self, monkeypatch):
+    def test_solver_batch_size_histogram_observes(self):
         """The kernel layer records batch widths into solver.batch_size."""
-        monkeypatch.setenv("REPRO_SOLVE_BATCH", "1")
         from repro.core.bounds import BoundOptions, PCBoundSolver
         from repro.obs.metrics import get_registry
         from repro.relational.aggregates import AggregateFunction

@@ -118,13 +118,12 @@ class TestLifecycle:
         try:
             with pytest.raises(SolverError, match="cache miss"):
                 # A bare key with no program: the worker cannot resolve it.
+                request = (AggregateFunction.COUNT, 0.0, 0.0)
                 pool._locked_round([
-                    ("solve", "no-such-key",
-                     ("no-such-key", None, AggregateFunction.COUNT, 0.0, 0.0),
-                     0),
-                    ("solve", "no-such-key-2",
-                     ("no-such-key-2", None, AggregateFunction.COUNT, 0.0, 0.0),
-                     1)])
+                    ("solve_batch", "no-such-key",
+                     ("no-such-key", None, (request,)), 0),
+                    ("solve_batch", "no-such-key-2",
+                     ("no-such-key-2", None, (request,)), 1)])
         finally:
             pool.shutdown()
 
@@ -386,89 +385,25 @@ class TestServiceIntegration:
             pool.shutdown()
 
 
-class TestWorkStealing:
-    """Elastic re-routing of queued tasks from loaded workers to idle ones.
+class TestAffinityRouting:
+    """Sticky affinity placement, its load credits, and the skewed round
+    it produces when every task shares one key."""
 
-    All tasks are keyed to one affinity key, so routing concentrates the
-    round on a single worker — the synthetic worst case of skew.  With
-    stealing on, idle peers must take over the queued tail (and split a
-    queued batch when idle workers outnumber queued tasks); with stealing
-    off, the counters stay at zero.  Either way the results must equal the
-    serial enumeration — stealing moves where a task runs, never what it
-    computes.
-    """
-
-    def skewed_tasks(self, count: int) -> list[tuple]:
-        from repro.core.cells import DecompositionStrategy
+    def test_hot_key_round_matches_serial_coverings(self):
+        """All 40 tasks share one affinity key, so routing concentrates the
+        round on one worker — the synthetic worst case of skew.  With
+        batch_size=1 that worker runs 16 tasks in flight over a deep
+        backlog; the round must complete and every shard must equal the
+        serial enumeration."""
+        from repro.core.cells import CellDecomposer, DecompositionStrategy
 
         pcset = build_partition_pcs(make_relation(), ["t"], 4)
-        return [("hot-key", pcset, None, DecompositionStrategy.DFS_REWRITE,
-                 None)] * count
-
-    def serial_coverings(self, tasks):
-        from repro.core.cells import CellDecomposer
-
-        return {cell.covering
-                for cell in CellDecomposer(tasks[0][1]).decompose().cells}
-
-    def test_idle_workers_steal_queued_tasks(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        # batch_size=1 forces one single-shard task per entry: 40 tasks on
-        # one affinity worker, capped at 16 in flight, leaves a deep queue
-        # the idle workers must drain.
-        tasks = self.skewed_tasks(40)
-        expected = self.serial_coverings(tasks)
-        with WorkerPool(max_workers=WORKERS, mode="process",
-                        steal=True) as pool:
+        tasks = [("hot-key", pcset, None, DecompositionStrategy.DFS_REWRITE,
+                  None)] * 40
+        expected = {cell.covering
+                    for cell in CellDecomposer(pcset).decompose().cells}
+        with WorkerPool(max_workers=WORKERS, mode="process") as pool:
             results = pool.decompose_shards(tasks, batch_size=1)
-            stolen = pool.statistics.tasks_stolen
-        assert stolen > 0
-        assert len(results) == len(tasks)
-        assert all({cell.covering for cell in result.cells} == expected
-                   for result in results)
-
-    def test_stealing_off_keeps_affinity_routing(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        tasks = self.skewed_tasks(40)
-        expected = self.serial_coverings(tasks)
-        with WorkerPool(max_workers=WORKERS, mode="process",
-                        steal=False) as pool:
-            assert not pool.stealing
-            results = pool.decompose_shards(tasks, batch_size=1)
-            statistics = pool.statistics
-        assert statistics.tasks_stolen == 0
-        assert statistics.batches_split == 0
-        assert all({cell.covering for cell in result.cells} == expected
-                   for result in results)
-
-    def test_environment_wins_over_pool_configuration(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STEAL", "0")
-        assert not WorkerPool(max_workers=2, mode="process",
-                              steal=True).stealing
-        monkeypatch.setenv("REPRO_STEAL", "1")
-        assert WorkerPool(max_workers=2, mode="process",
-                          steal=False).stealing
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        assert WorkerPool(max_workers=2, mode="process").stealing
-
-    def test_queued_batch_splits_when_thieves_outnumber_tasks(self,
-                                                              monkeypatch):
-        # The split needs batching on and at least two idle thieves, so the
-        # test sets both up itself rather than reading them from the CI leg.
-        monkeypatch.delenv("REPRO_STEAL", raising=False)
-        monkeypatch.delenv("REPRO_SOLVE_BATCH", raising=False)
-        # batch_size=4 over 68 same-key tasks makes 17 decompose_batch
-        # requests for one worker: 16 in flight, exactly one queued — fewer
-        # queued tasks than the two idle workers, so the queued batch must
-        # split.
-        tasks = self.skewed_tasks(68)
-        expected = self.serial_coverings(tasks)
-        with WorkerPool(max_workers=3, mode="process",
-                        steal=True) as pool:
-            results = pool.decompose_shards(tasks, batch_size=4)
-            statistics = pool.statistics
-        assert statistics.batches_split >= 1
-        assert statistics.tasks_stolen >= 1
         assert len(results) == len(tasks)
         assert all({cell.covering for cell in result.cells} == expected
                    for result in results)
