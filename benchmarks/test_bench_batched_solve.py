@@ -7,14 +7,14 @@ row by row at least 3x — that is pure per-call amortization (one
 vectorised endpoint selection instead of N small ones), so it holds on a
 single core and is asserted unconditionally.
 
-Second, the parallel benchmarks that lost to serial before batching —
-sharded single-query fan-out and the warm multi-region batch — are re-run
-here on the batched pool (the only pool path), recording how far
-one-task-per-batch shipping closes the gap to serial.  (The cross-shard
-AVG search that also lost is gone: AVG now runs a parametric search on
-the serial program.)  Those are hardware claims: range equality is
-asserted everywhere, but wall-clock speedup assertions skip below 4 cores
-instead of reporting a number no machine could hit.
+Second, the warm multi-region batch, which lost to serial before
+batching, is re-run here on the batched pool (the only pool path),
+recording how far one-task-per-batch shipping closes the gap to serial.
+(The sharded single-query and cross-shard AVG fan-outs that also lost are
+gone: every query is now solved on the serial program.)  That is a
+hardware claim: range equality is asserted everywhere, but wall-clock
+speedup assertions skip below 4 cores instead of reporting a number no
+machine could hit.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.bounds import BoundOptions, PCBoundSolver
-from repro.core.builders import build_partition_pcs
-from repro.parallel.pool import WorkerPool
-from repro.relational.aggregates import AggregateFunction
-from repro.relational.relation import Relation
-from repro.relational.schema import ColumnType, Schema
 from repro.service.batch import BatchExecutor
 from repro.solvers.lp import Sense
 from repro.solvers.milp import CompiledMILP, MILPModel
@@ -92,59 +86,6 @@ def test_bench_batched_kernel_vs_per_cell(report_artifact, bench_record):
                  rounds=KERNEL_ROUNDS, cores=available_cores())
     # Acceptance: >= 3x — amortization, not parallelism, so no core gate.
     assert ratio >= 3.0
-
-
-def test_bench_batched_sharded_single_query(report_artifact, bench_record):
-    """Sharded single-query fan-out re-run with batched cell shipping."""
-    rng = np.random.default_rng(11)
-    schema = Schema.from_pairs([("t", ColumnType.FLOAT),
-                                ("v", ColumnType.FLOAT)])
-    rows = np.column_stack([rng.uniform(0.0, 100.0, 4000),
-                            rng.uniform(1.0, 50.0, 4000)])
-    relation = Relation.from_rows(schema, [tuple(row) for row in rows],
-                                  name="sharded-batched")
-    pcset = build_partition_pcs(relation, ["t"], 64, exact_counts=True)
-    aggregates = [(AggregateFunction.COUNT, None),
-                  (AggregateFunction.SUM, "v"),
-                  (AggregateFunction.MIN, "v"),
-                  (AggregateFunction.MAX, "v")]
-
-    serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-    started = time.perf_counter()
-    serial_ranges = [serial.bound(aggregate, attribute)
-                     for aggregate, attribute in aggregates]
-    serial_seconds = time.perf_counter() - started
-
-    sharded = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                solve_workers=WORKERS))
-    started = time.perf_counter()
-    batched_ranges = [sharded.bound(aggregate, attribute)
-                      for aggregate, attribute in aggregates]
-    batched_seconds = time.perf_counter() - started
-
-    # Equal up to float summation order (the additive merge folds 64 shard
-    # optima in a different association than the monolithic dot product).
-    for sharded_range, serial_range in zip(batched_ranges, serial_ranges):
-        assert sharded_range.lower == pytest.approx(serial_range.lower,
-                                                    rel=1e-12)
-        assert sharded_range.upper == pytest.approx(serial_range.upper,
-                                                    rel=1e-12)
-
-    speedup = serial_seconds / max(batched_seconds, 1e-9)
-    cores = available_cores()
-    report_artifact(
-        "Single-query sharding on a 64-window partition, batched shipping\n"
-        f"  available cores      : {cores}\n"
-        f"  serial               : {serial_seconds * 1000:.1f} ms\n"
-        f"  sharded, batched     : {batched_seconds * 1000:.1f} ms\n"
-        f"  vs serial            : {speedup:.2f}x")
-    bench_record(serial_seconds=serial_seconds,
-                 batched_sharded_seconds=batched_seconds,
-                 speedup=speedup, workers=WORKERS, cores=cores)
-    if cores < WORKERS:
-        pytest.skip(f"parallel speedup needs >= {WORKERS} cores, found "
-                    f"{cores}; range-equality was still asserted")
-    assert speedup >= 1.0
 
 
 def test_bench_batched_warm_fanout(report_artifact, bench_record):

@@ -40,7 +40,6 @@ from repro.core.predicates import Predicate
 from repro.obs.profile import QueryProfile
 from repro.obs.trace import get_tracer
 from repro.plan.passes import ShardLoadMemo
-from repro.plan.sharding import partition_constraint_indices
 from repro.relational.aggregates import AggregateFunction
 
 AGGREGATES = [(AggregateFunction.COUNT, None), (AggregateFunction.SUM, "v"),
@@ -64,7 +63,7 @@ def skewed_pcset() -> PredicateConstraintSet:
     leave the hot zone inside one shard; the observed cell loads are what
     reveal where the work actually lives.  The tail's first window
     overlaps the hot zone in both dimensions, so the whole set is one
-    component and component sharding cannot split it.
+    overlap component.
     """
     bands = [(0.0, 40.0), (15.0, 55.0), (30.0, 70.0)]
     constraints = []
@@ -103,7 +102,6 @@ def test_feedback_resharding_flattens_skew(bench_record):
     from repro.parallel.pool import WorkerPool
 
     pcset = skewed_pcset()
-    assert len(partition_constraint_indices(pcset)) == 1  # one component
 
     serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
     started = time.perf_counter()

@@ -21,14 +21,10 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.bounds import BoundOptions, PCBoundSolver
-from repro.core.builders import (
-    build_partition_pcs,
-    build_random_overlapping_boxes,
-)
+from repro.core.bounds import BoundOptions
+from repro.core.builders import build_random_overlapping_boxes
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.predicates import Predicate
-from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service.batch import BatchExecutor
@@ -114,55 +110,3 @@ def test_bench_warm_multi_region_batch_fanout(report_artifact, bench_record):
                     "range-equality was still asserted")
     # Acceptance: >= 2x on 4 workers for the warm batch.
     assert ratio >= 2.0
-
-
-def test_bench_sharded_single_query_fanout(report_artifact, bench_record):
-    """Plan sharding on a wide disjoint partition: identical ranges, and the
-    shard programs are strictly smaller than the monolithic one."""
-    rng = np.random.default_rng(11)
-    schema = Schema.from_pairs([("t", ColumnType.FLOAT),
-                                ("v", ColumnType.FLOAT)])
-    rows = np.column_stack([rng.uniform(0.0, 100.0, 4000),
-                            rng.uniform(1.0, 50.0, 4000)])
-    relation = Relation.from_rows(schema, [tuple(row) for row in rows],
-                                  name="sharded")
-    pcset = build_partition_pcs(relation, ["t"], 64, exact_counts=True)
-
-    serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-    sharded = PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                                solve_workers=WORKERS))
-    aggregates = [(AggregateFunction.COUNT, None), (AggregateFunction.SUM, "v"),
-                  (AggregateFunction.MIN, "v"), (AggregateFunction.MAX, "v")]
-
-    started = time.perf_counter()
-    serial_ranges = [serial.bound(aggregate, attribute)
-                     for aggregate, attribute in aggregates]
-    serial_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    sharded_ranges = [sharded.bound(aggregate, attribute)
-                      for aggregate, attribute in aggregates]
-    sharded_seconds = time.perf_counter() - started
-
-    # Equal up to float summation order: the additive merge folds 64 shard
-    # optima in a different association than the monolithic dot product.
-    for sharded_range, serial_range in zip(sharded_ranges, serial_ranges):
-        assert sharded_range.lower == pytest.approx(serial_range.lower,
-                                                    rel=1e-12)
-        assert sharded_range.upper == pytest.approx(serial_range.upper,
-                                                    rel=1e-12)
-
-    plan = sharded.sharded_plan(None, "v")
-    largest_shard = max(len(shard.pcset) for shard in plan)
-    report_artifact(
-        "Single-query plan sharding on a 64-window partition\n"
-        f"  shards               : {len(plan)} "
-        f"(largest {largest_shard} of {len(pcset)} constraints)\n"
-        f"  serial               : {serial_seconds * 1000:.1f} ms\n"
-        f"  sharded (4 workers)  : {sharded_seconds * 1000:.1f} ms")
-    bench_record(serial_seconds=serial_seconds,
-                 sharded_seconds=sharded_seconds,
-                 speedup=serial_seconds / max(sharded_seconds, 1e-9),
-                 shards=len(plan), workers=WORKERS)
-    assert plan.is_sharded
-    assert largest_shard < len(pcset)

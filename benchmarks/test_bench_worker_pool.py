@@ -1,13 +1,14 @@
-"""Benchmark: persistent warm worker pool vs. the per-call executor path.
+"""Benchmark: persistent warm worker pool vs. a per-call process pool.
 
 PR 4's acceptance claim: for *small* warm queries — where the solve itself
-is cheap and the old per-call process executor spent its time forking
-workers and pickling the analyzer into every task — repeated batches on the
-persistent pool finish at least 2x faster on 4 process workers.  The pool
-pays fork once at start-up, ships each compiled program and the session
-analyzer once per affinity worker, and from then on moves only keys and
-queries; the per-call path re-pays everything on every batch, which is
-exactly what `repro.service.batch` did before this PR.
+is cheap and a per-call process pool spends its time forking workers and
+pickling the analyzer into every task — repeated batches on the persistent
+pool finish at least 2x faster on 4 process workers.  The pool pays fork
+once at start-up, ships each compiled program and the session analyzer
+once per affinity worker, and from then on moves only keys and queries; the
+per-call baseline — a stdlib ``concurrent.futures.ProcessPoolExecutor``
+built for each batch — re-pays everything on every batch, which is what
+`repro.service.batch` did before the persistent pool existed.
 
 Range equality between the two paths is asserted unconditionally.  The
 speedup assertion needs hardware parallelism plus real fork costs to
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from repro.core.bounds import BoundOptions
 from repro.core.builders import build_partition_pcs
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.predicates import Predicate
-from repro.parallel.executor import SolveExecutor
 from repro.parallel.pool import WorkerPool
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
@@ -78,11 +79,11 @@ def test_bench_persistent_pool_vs_per_call_executor(report_artifact,
     for query in queries:
         analyzer.prepare(query.region, query.attribute)
 
-    # Per-call path (the pre-PR4 behaviour): a fresh process executor per
+    # Per-call path (the pre-PR4 behaviour): a fresh process pool per
     # batch, the analyzer pickled into every task.
     def per_call_batch():
-        with SolveExecutor(max_workers=WORKERS, mode="process") as executor:
-            return executor.map(analyzer.analyze, queries)
+        with ProcessPoolExecutor(max_workers=WORKERS) as per_call:
+            return list(per_call.map(analyzer.analyze, queries))
 
     # Persistent-pool path: one long-lived pool; the first batch ships
     # programs and the session, later batches ship keys only.
@@ -114,10 +115,10 @@ def test_bench_persistent_pool_vs_per_call_executor(report_artifact,
     cores = available_cores()
     statistics = pool.statistics
     report_artifact(
-        "Warm small-query batches: persistent pool vs per-call executor\n"
+        "Warm small-query batches: persistent pool vs per-call pool\n"
         f"  queries per batch    : {len(queries)} (batches of cheap solves)\n"
         f"  available cores      : {cores}\n"
-        f"  per-call executor    : {per_call_seconds * 1000:.1f} ms/batch\n"
+        f"  per-call pool        : {per_call_seconds * 1000:.1f} ms/batch\n"
         f"  persistent pool      : {pooled_seconds * 1000:.1f} ms/batch\n"
         f"  speedup              : {ratio:.2f}x\n"
         f"  pool warm-hit rate   : {statistics.warm_hit_rate:.1%} "

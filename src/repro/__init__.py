@@ -29,9 +29,9 @@ Sub-packages
     Satisfiability, LP/MILP, fractional-edge-cover substrates, and the
     MILP backend registry.
 ``repro.parallel``
-    Parallel solve fan-out: plan sharding along independent constraint
-    components (:class:`ShardedBoundPlan`), the thread/process
-    :class:`SolveExecutor`, and cross-backend range verification.
+    Parallel fan-out: the persistent worker pool that runs
+    region-sharded cell enumeration (:class:`ShardedBoundPlan`) and batch
+    queries, and cross-backend range verification.
 ``repro.service``
     The long-lived service layer: named/versioned constraint sessions,
     fingerprint-keyed decomposition and report caches, and concurrent batch
@@ -74,9 +74,6 @@ from .plan import (
 from .parallel import (
     PlanShard,
     ShardedBoundPlan,
-    SolveExecutor,
-    merge_shard_ranges,
-    shard_plan,
 )
 from .relational import (
     AggregateFunction,
@@ -125,9 +122,6 @@ __all__ = [
     "optimize_plan",
     "PlanShard",
     "ShardedBoundPlan",
-    "SolveExecutor",
-    "merge_shard_ranges",
-    "shard_plan",
     "AggregateFunction",
     "AggregateQuery",
     "ColumnType",

@@ -103,11 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     bound_parser.add_argument("--no-closure-check", action="store_true",
                               help="skip the closed-world check (assume closure)")
     bound_parser.add_argument("--workers", type=int, default=None,
-                              help="fan the solve out over this many workers "
-                                   "when the plan shards into independent "
-                                   "constraint components (default: serial); "
-                                   "workers are borrowed from a persistent "
-                                   "shared pool")
+                              help="fan the cell enumeration out over this "
+                                   "many workers when the plan splits by "
+                                   "query region (default: serial); workers "
+                                   "are borrowed from a persistent shared "
+                                   "pool")
     bound_parser.add_argument("--parallel-mode", default=None,
                               choices=["thread", "process"],
                               help="worker-pool flavour for --workers "
@@ -223,13 +223,12 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
                        help="let the plan optimizer early-stop automatically "
                             "when the worst-case cell count exceeds CELLS")
     group.add_argument("--shard-strategy", default=None,
-                       choices=["auto", "component", "region"],
-                       help="how the sharding pass splits plans for "
-                            "--workers: component (independent constraint "
-                            "components), region (partition the query region "
-                            "so one-component sets shard too), or auto "
-                            "(default; component first, region when the "
-                            "enumeration is worth fanning out)")
+                       choices=["auto", "region"],
+                       help="when the sharding pass splits plans for "
+                            "--workers: region (always partition the query "
+                            "region and fan the cell enumeration out) or "
+                            "auto (default; only when the enumeration is "
+                            "worth fanning out)")
     group.add_argument("--verify-backend", default=None, metavar="NAME",
                        help="cross-check every range on this second MILP "
                             "backend and fail loudly when the two backends "
@@ -246,11 +245,10 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
                             "raises QueryDeadlineError instead of running "
                             "to completion (default: no deadline)")
     group.add_argument("--degrade", default=None, choices=["worst-case"],
-                       help="on shard timeout or repeated shard failure, "
-                            "fall back to the shard's precomputed "
-                            "worst-case range (sound superset) instead of "
-                            "failing the query; degraded shards are stamped "
-                            "on the result statistics")
+                       help="when the solve fails, fall back to the "
+                            "program's solver-free worst-case range (sound "
+                            "superset) instead of failing the query; the "
+                            "result statistics are stamped as degraded")
 
 
 def _solver_options(args: argparse.Namespace):
@@ -394,17 +392,10 @@ def _command_bound(args: argparse.Namespace) -> int:
     for note in plan.trace:
         print(f"                  - {note}")
     if options.solve_workers is not None and options.solve_workers > 1:
-        # COUNT/SUM/MIN/MAX merge shard ranges; AVG solves on the serial
-        # program (its target couples every cell) — and region sharding
-        # fans the cell enumeration out for one-component sets.
+        # Region sharding fans the cell enumeration out; every aggregate
+        # is then solved on the one serial program.
         sharded = analyzer.solver.sharded_plan(query.region, query.attribute)
-        if sharded.strategy == "region":
-            flavour = "region-split cell enumeration"
-        elif query.aggregate is AggregateFunction.AVG:
-            flavour = "AVG solved on the serial program"
-        else:
-            flavour = "merged shard solves"
-        # Report the pool the solve actually borrowed: the resolved mode
+        # Report the pool the fan-out actually borrowed: the resolved mode
         # can differ from --parallel-mode (process-unsafe backends fall
         # back to threads, width 1 degrades to serial).
         pool = analyzer.solver.borrow_pool(options.solve_workers)
@@ -412,7 +403,8 @@ def _command_bound(args: argparse.Namespace) -> int:
               f"{len(sharded)} shard(s) over "
               f"{options.solve_workers} worker(s) on the shared "
               f"{pool.mode} pool"
-              + (f" ({flavour})" if sharded.is_sharded
+              + (" (region-split cell enumeration, solved on the serial "
+                 "program)" if sharded.is_sharded
                  else " (unsplittable; solved serially)"))
     if options.verify_backend is not None:
         print(f"verification    : cross-backend against "

@@ -79,18 +79,15 @@ class BoundOptions:
     (see :mod:`repro.parallel`):
 
     ``solve_workers``
-        When > 1, queries are sharded onto a worker pool of this width
-        through the plan pipeline's sharding pass: multi-component
-        constraint sets split into per-component programs (ranges merged
-        exactly), and one-component sets split by query region (cell
-        enumeration fanned out, then merged into the serial-identical
-        program).  ``None`` (and ``1``) keep the serial single-program path.
+        When > 1, a plan's cell enumeration is split by query region and
+        fanned out over a worker pool of this width, then merged into the
+        serial-identical decomposition; the query is still solved by the
+        one serial program.  ``None`` (and ``1``) enumerate inline.
     ``shard_strategy``
-        Which sharding strategy the pass prefers: ``"auto"`` (component
-        splitting when the overlap graph shards, region splitting for
-        expensive one-component plans), ``"component"``, or ``"region"``.
-        Defaults to the ``REPRO_SHARD_STRATEGY`` environment toggle (the
-        region-preferred CI leg) falling back to ``"auto"``.
+        When the sharding pass region-splits: ``"auto"`` (only expensive
+        enumerations) or ``"region"`` (always).  Defaults to the
+        ``REPRO_SHARD_STRATEGY`` environment toggle (the region-preferred
+        CI leg) falling back to ``"auto"``.
     ``parallel_mode``
         Pool flavour for the fan-out: ``"thread"`` (default, safe for every
         backend), ``"process"`` (real CPU scale-out; requires the backend's
@@ -120,14 +117,14 @@ class BoundOptions:
         fingerprints like ``parallel_mode``: it changes failure behaviour,
         never a returned range.
     ``degrade``
-        ``"worst-case"`` opts the component-sharded aggregates into
-        graceful degradation: a shard whose solve dies repeatedly or runs
-        past the deadline contributes its solver-free worst-case range
+        ``"worst-case"`` opts into graceful degradation: when the program's
+        solve raises :class:`~repro.exceptions.SolverError`, the query
+        returns the solver-free worst-case range
         (:meth:`~repro.plan.program.BoundProgram.worst_case_range`) instead
-        of failing the query.  The merged range is still sound — a superset
-        of the exact range — and the result's statistics are stamped with
-        ``degraded_shards``.  *Included* in option fingerprints: it can
-        change returned ranges.
+        of failing.  That range is still sound — a superset of the exact
+        range — and the result's statistics are stamped with
+        ``degraded_shards=(0,)``.  *Included* in option fingerprints: it
+        can change returned ranges.
     """
 
     strategy: DecompositionStrategy = DecompositionStrategy.DFS_REWRITE
@@ -214,10 +211,9 @@ class PCBoundSolver:
         are cached in a private per-instance dict.
     worker_pool:
         Optional long-lived :class:`~repro.parallel.pool.WorkerPool` the
-        sharded fan-out borrows instead of spinning a per-call executor
-        (the service layer passes its own pool).  When omitted and
-        ``options.solve_workers > 1``, a process-global shared pool is
-        borrowed.
+        region fan-out borrows (the service layer passes its own pool).
+        When omitted and ``options.solve_workers > 1``, a process-global
+        shared pool is borrowed.
     cell_statistics:
         Optional :class:`~repro.plan.passes.ObservedCellStatistics` feed
         the strategy-selection pass consults for adaptive cell budgeting;
@@ -320,8 +316,8 @@ class PCBoundSolver:
 
         Pool workers receive solvers whose shared caches were dropped at the
         pickle boundary; attaching the worker's own cache here is what lets
-        programs the parent pre-shipped (under :meth:`program_key` /
-        :meth:`shard_program_key` keys) satisfy this solver's lookups.
+        programs the parent pre-shipped (under :meth:`program_key` keys)
+        satisfy this solver's lookups.
         """
         self._program_cache = cache
 
@@ -366,32 +362,25 @@ class PCBoundSolver:
 
     def shard_program_key(self, shard, region: Predicate | None,
                           attribute: str | None) -> tuple:
-        """The cache key for one shard's program (program key + shard token)."""
+        """The pool routing key for one region shard (program key + shard
+        token), so repeated sharded queries keep their affinity workers."""
         return self._program_key(region, attribute) + shard.cache_token()
 
     def has_cached_program(self, region: Predicate | None = None,
-                           attribute: str | None = None,
-                           shard=None) -> bool:
-        """Whether the pair's (or one shard's) compiled program is warm.
+                           attribute: str | None = None) -> bool:
+        """Whether the pair's compiled program is warm.
 
         Admission pricing consults this to discount queries that will only
-        patch parameters into an existing skeleton — passing ``shard``
-        checks the shard-token-extended key that component-sharded
-        execution actually populates, instead of the unsharded pair key it
-        never compiles.  The lookup peeks: it must not perturb cache
-        statistics or LRU recency, and it never compiles anything.
+        patch parameters into an existing skeleton.  The lookup peeks: it
+        must not perturb cache statistics or LRU recency, and it never
+        compiles anything.
         """
         if self._program_cache is not None:
-            key = self._program_key(region, attribute)
-            if shard is not None:
-                key = key + shard.cache_token()
             peek = getattr(self._program_cache, "peek",
                            self._program_cache.get)
-            return peek(key) is not None
-        private_key = ((region, attribute) if shard is None
-                       else (region, attribute, shard.cache_token()))
+            return peek(self._program_key(region, attribute)) is not None
         with self._program_lock:
-            return private_key in self._local_programs
+            return (region, attribute) in self._local_programs
 
     @property
     def decompositions_computed(self) -> int:
@@ -435,12 +424,11 @@ class PCBoundSolver:
         ``known_sum`` / ``known_count`` describe the observed partition and
         are only used by AVG (whose bound depends jointly on both).
 
-        Execution routes through up to three paths, all governed by the
-        options: the serial compiled program (default), the sharded fan-out
-        (``solve_workers > 1`` and the plan splits into independent
-        components), and — orthogonally — cross-backend verification
-        (``verify_backend``), which intersects the range with a second
-        backend's and alarms on disagreement.
+        Every query is solved by the pair's one compiled program; with
+        ``solve_workers > 1`` only its cell enumeration may fan out (see
+        :meth:`_decompose_plan`).  Cross-backend verification
+        (``verify_backend``) additionally intersects the range with a
+        second backend's and alarms on disagreement.
         """
         if aggregate.needs_attribute and attribute is None:
             raise SolverError(f"{aggregate.value} bounds require an attribute")
@@ -480,47 +468,40 @@ class PCBoundSolver:
     def _bound_missing(self, aggregate: AggregateFunction,
                        attribute: str | None, region: Predicate | None,
                        known_sum: float, known_count: float) -> ResultRange:
-        """The closed-world missing-partition range, serial or sharded."""
-        tracer = get_tracer()
-        workers = self._options.solve_workers
-        if workers is not None and workers > 1:
-            from ..parallel.pool import in_pool_thread, in_worker
-            from ..plan.sharding import SHARDABLE_AGGREGATES
+        """The closed-world missing-partition range from the pair's program.
 
-            # Inside a pool worker — process or thread — the fan-out IS the
-            # pool; sharding again would run every per-shard solve inline
-            # (or spawn pools from workers), multiplying cost for zero
-            # concurrency, so pooled analyzers degrade to the serial path.
-            if not in_worker() and not in_pool_thread():
-                with tracer.span("shard.plan"):
-                    sharded = self.sharded_plan(region, attribute,
-                                                max_shards=workers)
-                    tracer.annotate(strategy=sharded.strategy,
-                                    shards=len(sharded))
-                if (sharded.is_sharded and sharded.strategy == "component"
-                        and aggregate in SHARDABLE_AGGREGATES):
-                    with tracer.span("solve.sharded"):
-                        tracer.annotate(shards=len(sharded))
-                        return self._bound_sharded(sharded, aggregate,
-                                                   attribute, region, workers)
-                # Everything else falls through to the serial program.  AVG
-                # does not separate across shards (its target couples every
-                # cell) and its parametric search needs only a handful of
-                # solves.  Region-sharded plans compile the serial program
-                # against the pool-merged decomposition (see
-                # _decompose_plan), so their enumeration still fanned out.
+        With ``degrade="worst-case"`` a solve that raises
+        :class:`~repro.exceptions.SolverError` falls back to the program's
+        solver-free worst-case range, stamped ``degraded_shards=(0,)`` on a
+        copy of the statistics (the cached decomposition's own record is
+        shared by every later answer and must stay clean).
+        """
+        degrade = self._options.degrade
+        if degrade is not None and degrade != "worst-case":
+            raise SolverError(
+                f"unknown degrade policy {degrade!r}; expected 'worst-case'")
         program = self.program(region, attribute)
+        tracer = get_tracer()
         with tracer.span("solve.serial"):
-            # The batched kernel path — one skeleton lookup, grouped
-            # (variant, sense) solves.  Bit-identical to program.bound.
-            return program.bound_batch(
-                [(aggregate, known_sum, known_count)])[0]
+            try:
+                # The batched kernel path — one skeleton lookup, grouped
+                # (variant, sense) solves.  Bit-identical to program.bound.
+                return program.bound_batch(
+                    [(aggregate, known_sum, known_count)])[0]
+            except SolverError:
+                if degrade is None:
+                    raise
+            tracer.annotate(degraded_shards=(0,))
+        get_registry().counter("queries.degraded").inc()
+        fallback = program.worst_case_range(aggregate, known_sum, known_count)
+        return replace(fallback, statistics=replace(fallback.statistics,
+                                                    degraded_shards=(0,)))
 
     def borrow_pool(self, workers: int):
         """The worker pool the fan-out runs on: the injected (service-owned)
         pool when one was supplied, else a process-global shared pool —
-        either way long-lived, so repeated sharded solves never pay pool
-        start-up or re-ship warm programs.
+        either way long-lived, so repeated region fan-outs never pay pool
+        start-up.
 
         The ``process_safe`` capability gate applies to injected pools too:
         a service-owned process pool cannot run a backend whose state cannot
@@ -540,63 +521,6 @@ class PCBoundSolver:
             return shared_pool(mode="thread", max_workers=workers)
         return shared_pool(mode=self._options.parallel_mode,
                            max_workers=workers, backend=backend)
-
-    def _keyed_shard_programs(self, sharded, region: Predicate | None,
-                              attribute: str | None) -> list[tuple]:
-        """(pool key, compiled program) per shard, parent-cache warm."""
-        return [(self.shard_program_key(shard, region, attribute),
-                 self.shard_program(shard, region, attribute))
-                for shard in sharded]
-
-    def _bound_sharded(self, sharded, aggregate: AggregateFunction,
-                       attribute: str | None, region: Predicate | None,
-                       workers: int) -> ResultRange:
-        """Fan the per-shard programs out over the pool and merge the ranges.
-
-        With ``degrade="worst-case"`` the fan-out is failure-tolerant: each
-        shard that times out, dies repeatedly, or errors substitutes its
-        solver-free worst-case range — sound, just looser — and the merged
-        statistics are stamped with the degraded shard positions.
-        """
-        from ..plan.sharding import (
-            merge_shard_ranges,
-            merge_shard_statistics,
-        )
-
-        degrade = self._options.degrade
-        if degrade is not None and degrade != "worst-case":
-            raise SolverError(
-                f"unknown degrade policy {degrade!r}; expected 'worst-case'")
-        keyed = self._keyed_shard_programs(sharded, region, attribute)
-        pool = self.borrow_pool(workers)
-        degraded: list[int] = []
-        if degrade == "worst-case":
-            collected, failures = pool.solve_programs_resilient(keyed,
-                                                                aggregate)
-            endpoints = []
-            for position, (_key, program) in enumerate(keyed):
-                triple = collected.get(position)
-                if triple is None:
-                    fallback = program.worst_case_range(aggregate)
-                    triple = (fallback.lower, fallback.upper, fallback.closed)
-                    degraded.append(position)
-                endpoints.append(triple)
-            if degraded:
-                tracer = get_tracer()
-                tracer.annotate(degraded_shards=tuple(degraded))
-                get_registry().counter("queries.degraded").inc()
-        else:
-            endpoints = pool.solve_programs(keyed, aggregate)
-        ranges = [ResultRange(lower, upper, aggregate, attribute, closed=closed)
-                  for lower, upper, closed in endpoints]
-        # Statistics come from the parent's shard programs, not the worker
-        # results: workers return bare endpoints, and the parent compiled
-        # (or cache-loaded) every shard program anyway.
-        statistics = merge_shard_statistics(
-            program.decomposition.statistics for _, program in keyed)
-        statistics.degraded_shards = tuple(degraded)
-        return merge_shard_ranges(aggregate, ranges, attribute,
-                                  statistics=statistics)
 
     def _cross_check(self, result: ResultRange, aggregate: AggregateFunction,
                      attribute: str | None, region: Predicate | None,
@@ -755,8 +679,8 @@ class PCBoundSolver:
         strategy can split comes back with one shard (``is_sharded`` False).
 
         Sharded plans are memoized per (region, attribute, max_shards):
-        building one runs the optimizer plus a quadratic predicate-overlap
-        scan, which a warm repeated query must not pay again — and under
+        building one runs the optimizer plus cut placement, which a warm
+        repeated query must not pay again — and under
         ``auto`` the region-splitting decision consults the mutable
         observed-density feed, so memoization also pins the first decision
         (the same stability argument as the adaptive early-stop memo).
@@ -790,23 +714,6 @@ class PCBoundSolver:
         with self._program_lock:
             self._sharded_plans[key] = (version, sharded)
         return sharded
-
-    def shard_program(self, shard, region: Predicate | None,
-                      attribute: str | None) -> BoundProgram:
-        """The compiled program for one plan shard, cached like any program.
-
-        Shard programs live in the same (shared or private) cache as their
-        unsharded siblings: the key is the ordinary (namespace, region,
-        attribute) program key extended with the shard's
-        :meth:`~repro.parallel.PlanShard.cache_token`, so repeated sharded
-        queries patch parameters into warm per-shard skeletons exactly like
-        the serial path does.
-        """
-        token = shard.cache_token()
-        return self._cached_program(
-            (region, attribute, token),
-            lambda: self._program_key(region, attribute) + token,
-            lambda: self._compile_shard(shard, region))
 
     def _cached_program(self, private_key, shared_key_factory,
                         factory) -> BoundProgram:
@@ -909,40 +816,6 @@ class PCBoundSolver:
             self._programs_compiled += 1
         return program
 
-    def _compile_shard(self, shard, region: Predicate | None) -> BoundProgram:
-        """Compile one shard's sub-plan into its own program.
-
-        The shard's constraint subset decomposes independently (its cells
-        are exactly the full decomposition's cells covered by this shard's
-        constraints); under a shared cache the entry is namespaced by the
-        shard token so it can never masquerade as the full decomposition of
-        the same region.
-        """
-        plan = shard.plan
-        namespace = None
-        if self._shared_cache is not None and self._cache_namespace is not None:
-            namespace = ("plan-shard", self._cache_namespace,
-                         self._options.optimize, self._options.cell_budget,
-                         plan.early_stop_depth, shard.cache_token())
-        tracer = get_tracer()
-        with tracer.span("compile.shard"):
-            decomposition = decompose_cached(
-                plan.pcset, region,
-                strategy=plan.strategy,
-                early_stop_depth=plan.early_stop_depth,
-                cache=self._shared_cache,
-                namespace=namespace,
-                on_compute=self._record_decomposition)
-            program = compile_plan(
-                plan, decomposition,
-                avg_tolerance=self._options.avg_tolerance,
-                avg_max_iterations=self._options.avg_max_iterations,
-                reuse=self._options.program_reuse)
-            tracer.annotate(cells=len(decomposition.cells))
-        with self._counter_lock:
-            self._programs_compiled += 1
-        return program
-
     # ------------------------------------------------------------------ #
     # Closure handling
     # ------------------------------------------------------------------ #
@@ -995,10 +868,10 @@ class PCBoundSolver:
     def _region_decomposition_factory(self, plan: BoundPlan):
         """A pool-fanned way to compute ``plan``'s decomposition, or None.
 
-        Returns a zero-argument callable only when the sharding pass chose
-        region splitting for this pair (one-component overlap graph, a
-        usable partition attribute, fan-out requested and not already
-        running inside a pool worker).  The callable produces a
+        Returns a zero-argument callable only when the sharding pass split
+        this pair (a usable partition attribute, an enumeration worth
+        fanning out, fan-out requested and not already running inside a
+        pool worker).  The callable produces a
         decomposition *identical* to the inline enumeration — the cell-union
         equality argued in :mod:`repro.plan.sharding` — so it slots into
         :func:`decompose_cached` as a ``compute_override`` without touching
@@ -1013,7 +886,7 @@ class PCBoundSolver:
             return None
         sharded = self.sharded_plan(plan.query.region, plan.query.attribute,
                                     max_shards=workers)
-        if sharded.strategy != "region" or not sharded.is_sharded:
+        if not sharded.is_sharded:
             return None
         return lambda: self._pooled_region_decomposition(plan, sharded,
                                                          workers)

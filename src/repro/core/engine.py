@@ -120,13 +120,12 @@ class ContingencyReport:
 
     @property
     def degraded_shards(self) -> tuple:
-        """Shard positions answered from worst-case fallback ranges.
+        """Positions answered from worst-case fallback ranges.
 
-        Non-empty only under ``BoundOptions(degrade="worst-case")`` when a
-        shard timed out or kept failing: its contribution is the
-        precomputed worst-case range (a sound superset), and this tuple
-        names exactly which shards were degraded.  Empty means every shard
-        was solved exactly.
+        Non-empty — ``(0,)`` — only under
+        ``BoundOptions(degrade="worst-case")`` when the solve failed: the
+        answer is then the program's solver-free worst-case range (a sound
+        superset).  Empty means the range was solved exactly.
         """
         statistics = self.result_range.statistics
         if statistics is None:

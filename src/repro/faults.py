@@ -28,8 +28,8 @@ Each clause is ``action:key=value,...`` where *action* is one of
 and the keys select *which* dispatch the fault fires on:
 
 ``worker=N``   only tasks dispatched to worker index ``N``
-``kind=NAME``  only tasks of that pool task kind (``solve_batch``,
-               ``decompose_batch``, ...; an unknown kind is a parse error)
+``kind=NAME``  only tasks of that pool task kind (``decompose_batch``,
+               ``analyze_batch``, ...; an unknown kind is a parse error)
 ``task=N``     only the ``N``-th dispatch overall (1-based, deterministic
                because dispatch order is deterministic)
 ``shard=N``    only tasks whose payload position (shard index) is ``N``

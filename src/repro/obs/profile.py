@@ -6,7 +6,7 @@ per-shard counts) and derived aggregates — total solver calls, the max/mean
 *shard-time* and *shard-cell* skew ratios the skew-aware scheduler flattens
 (``shard_cell_skew`` is the number feedback resharding optimizes), and the
 fault-tolerance trail — tasks that survived a worker crash
-(``retried_tasks``) and shards answered from their worst-case fallback
+(``retried_tasks``) and solves answered from their worst-case fallback
 (``degraded_shards``).
 
 Profiles are plain data: ``render()`` gives the indented terminal tree
@@ -253,11 +253,11 @@ class QueryProfile:
                    and node.attributes["attempts"] > 1)
 
     def degraded_shards(self) -> list[Any]:
-        """Shard positions answered from their worst-case fallback range.
+        """Positions answered from their worst-case fallback range.
 
-        The sharded bound path annotates its span with
-        ``degraded_shards=(...)`` under ``degrade="worst-case"``; an empty
-        list means every shard was solved exactly."""
+        A bound whose solve failed annotates its span with
+        ``degraded_shards=(0,)`` under ``degrade="worst-case"``; an empty
+        list means every solve was exact."""
         degraded: list[Any] = []
         for node in self.root.walk():
             value = node.attributes.get("degraded_shards")
@@ -272,8 +272,7 @@ class QueryProfile:
         tasks = 0
         cells = 0.0
         for node in self.root.walk():
-            if node.name in ("pool.solve_batch", "pool.decompose_batch",
-                             "pool.analyze_batch"):
+            if node.name in ("pool.decompose_batch", "pool.analyze_batch"):
                 tasks += 1
                 value = node.attributes.get("cells")
                 if isinstance(value, (int, float)) \

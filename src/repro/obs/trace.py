@@ -34,8 +34,8 @@ worker threads in thread-mode pools join the coordinator's trace via
 Fault-tolerance events leave span tags rather than new span kinds: a task
 span whose result came from a re-dispatch after a worker crash carries
 ``attempts=N`` (N > 1), a round abandoned by an expired query deadline
-annotates ``deadline_abandoned=N``, and a sharded bound that fell back to
-worst-case ranges annotates ``degraded_shards=(...)`` — all of which the
+annotates ``deadline_abandoned=N``, and a bound whose solve fell back to
+its worst-case range annotates ``degraded_shards=(0,)`` — all of which the
 profile layer folds into its EXPLAIN ANALYZE summary.
 """
 

@@ -1,14 +1,13 @@
 """Persistent worker pools with warm per-worker program caches.
 
-PR 3's :class:`~repro.parallel.SolveExecutor` fans work out, but every call
-site constructed a fresh executor — paying process fork, analyzer pickling
-and solver warm-up on *each* sharded solve or batch phase.  This module is
-the long-lived runtime that amortises those costs:
+A pool built per call pays process fork, analyzer pickling and solver
+warm-up on *every* batch.  This module is the long-lived runtime that
+amortises those costs:
 
 * **Worker-side warm caches.**  Each process worker owns a program cache
   keyed by the *parent's* program-cache keys (content fingerprints + region
-  + attribute + shard token).  The first solve for a key ships the compiled
-  :class:`~repro.plan.BoundProgram` skeleton (a few KB); every later solve
+  + attribute).  The first query for a key ships the compiled
+  :class:`~repro.plan.BoundProgram` skeleton (a few KB); every later query
   ships only the key, and the worker patches parameters into its warm copy.
 * **Fingerprint-affinity routing.**  A key is pinned to one worker
   (balanced on first sight, sticky afterwards), so repeated traffic for a
@@ -54,7 +53,6 @@ from ..exceptions import PoisonTaskError, QueryDeadlineError, SolverError
 from ..faults import apply_worker_fault, current_deadline, resolve_faults
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..relational.aggregates import AggregateFunction
 from ..solvers.batching import adaptive_batch_size, chunked
 from ..solvers.registry import backend_capabilities
 
@@ -65,12 +63,9 @@ __all__ = ["WorkerPool", "PoolStatistics", "POOL_MODES", "TASK_KINDS",
 
 POOL_MODES = ("serial", "thread", "process", "auto")
 
-# Endpoint triple a solve task returns: (lower, upper, closed).
-Endpoints = tuple
-
 
 def default_pool_workers() -> int:
-    """Default pool width (mirrors the solve executor's heuristic)."""
+    """Default pool width: one worker per core, at most eight."""
     return min(8, os.cpu_count() or 1)
 
 
@@ -100,7 +95,7 @@ def in_pool_thread() -> bool:
 
 
 # --------------------------------------------------------------------- #
-# The atexit reaper (shared with SolveExecutor)
+# The atexit reaper
 # --------------------------------------------------------------------- #
 _reap_lock = threading.Lock()
 _reapable: "weakref.WeakSet" = weakref.WeakSet()
@@ -134,26 +129,9 @@ def _reap_all() -> None:
 # Worker-side state and task handlers (process mode)
 # --------------------------------------------------------------------- #
 #: Per-worker warm program cache capacity.  Bounds worker memory the same
-#: way the service's program LRU bounds the parent's; evictions surface as
-#: :class:`WorkerCacheMiss`, which the parent recovers from by re-shipping.
+#: way the service's program LRU bounds the parent's; an evicted program is
+#: recompiled by the worker-side solver (``get_or_compute``) on next use.
 _WORKER_CACHE_ENTRIES = 1024
-
-
-class WorkerCacheMiss(SolverError):
-    """A worker no longer holds a program the parent believed warm.
-
-    Raised worker-side (after an LRU eviction or an unexpected restart) and
-    shipped back to the parent, which treats its warm-key bookkeeping as
-    advisory: it re-dispatches the task with the program attached instead of
-    failing the round.
-    """
-
-    def __init__(self, key):
-        super().__init__(f"worker cache miss for program key {key!r}")
-        self.key = key
-
-    def __reduce__(self):
-        return (WorkerCacheMiss, (self.key,))
 
 
 class _WorkerProgramCache:
@@ -191,16 +169,6 @@ class _WorkerProgramCache:
         return len(self._programs)
 
 
-def _resolve_program(programs: _WorkerProgramCache, key, program):
-    if program is not None:
-        programs.put(key, program)
-        return program
-    cached = programs.get(key)
-    if cached is None:
-        raise WorkerCacheMiss(key)
-    return cached
-
-
 def _handle_warm(programs, sessions, task):
     _, _, key, program = task
     programs.put(key, program)
@@ -215,17 +183,6 @@ def _handle_register(programs, sessions, task):
     analyzer.solver.attach_program_cache(programs)
     sessions[session_key] = analyzer
     return True
-
-
-def _handle_solve_batch(programs, sessions, task):
-    """A batch of bound requests against one warm program — one task, one
-    skeleton lookup, one vectorized kernel entry per (variant, sense) group
-    (:meth:`repro.plan.program.BoundProgram.bound_batch`)."""
-    _, _, key, program, requests = task
-    program = _resolve_program(programs, key, program)
-    get_tracer().annotate(cells=len(requests))
-    results = program.bound_batch(list(requests))
-    return [(result.lower, result.upper, result.closed) for result in results]
 
 
 def _handle_decompose_batch(programs, sessions, task):
@@ -281,12 +238,11 @@ def _handle_analyze_batch(programs, sessions, task):
     return [analyzer.analyze(query) for query in queries]
 
 
-#: Every unit of work is a batch: a single solve, shard or query ships as a
+#: Every unit of work is a batch: a single shard or query ships as a
 #: one-entry ``*_batch`` task.
 _HANDLERS = {
     "warm": _handle_warm,
     "register": _handle_register,
-    "solve_batch": _handle_solve_batch,
     "decompose_batch": _handle_decompose_batch,
     "analyze_batch": _handle_analyze_batch,
 }
@@ -299,7 +255,6 @@ TASK_KINDS = tuple(_HANDLERS)
 _TASK_SPANS = {
     "warm": "pool.warm",
     "register": "pool.register",
-    "solve_batch": "pool.solve_batch",
     "decompose_batch": "pool.decompose_batch",
     "analyze_batch": "pool.analyze_batch",
 }
@@ -480,13 +435,9 @@ class _PendingTask:
     attempts: int = 1
 
 
-_MAX_TASK_ATTEMPTS = 3
-
 #: Crash-retry budget: how many times a task may *kill its worker* before it
-#: is quarantined as poison instead of re-dispatched.  Distinct from
-#: :data:`_MAX_TASK_ATTEMPTS` (the cache-miss re-ship cap): a cache miss is
-#: the worker saying "send that again", a dead worker is evidence the
-#: payload itself may be lethal.
+#: is quarantined as poison instead of re-dispatched — a dead worker is
+#: evidence the payload itself may be lethal.
 _DEFAULT_TASK_RETRIES = 2
 
 #: Respawn-storm controls.  More than ``_STORM_THRESHOLD`` respawns inside
@@ -511,20 +462,6 @@ _MAX_IN_FLIGHT_PER_WORKER = 16
 #: so a round that concentrates on one affinity worker cannot park its whole
 #: tail behind that worker while the rest of the pool idles.
 _BACKLOG_LIMIT = 4 * _MAX_IN_FLIGHT_PER_WORKER
-
-
-def _solve_one(program, request: tuple) -> Endpoints:
-    """One in-process solve through the batched kernel, as an endpoint
-    triple (the inline and thread-mode counterpart of a ``solve_batch``
-    task of one request)."""
-    result = program.bound_batch([request])[0]
-    return (result.lower, result.upper, result.closed)
-
-
-def _solve_requests(pairs: list, request: tuple) -> list:
-    """One single-request ``solve_batch`` round entry per program."""
-    return [("solve_batch", key, (key, program, (request,)), position)
-            for position, (key, program) in enumerate(pairs)]
 
 
 def _scatter(collected: dict, count: int) -> list:
@@ -865,98 +802,6 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # Execution entry points
     # ------------------------------------------------------------------ #
-    def solve_programs(self, keyed_programs: Sequence[tuple],
-                       aggregate: AggregateFunction,
-                       known_sum: float = 0.0, known_count: float = 0.0
-                       ) -> list[Endpoints]:
-        """Bound ``aggregate`` on every ``(key, program)`` pair, in order.
-
-        Returns ``(lower, upper, closed)`` endpoint triples, computed by the
-        batched kernel (:meth:`~repro.plan.BoundProgram.bound_batch`).
-        Process mode ships one ``solve_batch`` task per program to its
-        affinity worker, with the program attached only if that worker does
-        not hold it warm.
-        """
-        request = (aggregate, known_sum, known_count)
-        pairs = list(keyed_programs)
-        self._record_batch_traffic(len(pairs), len(pairs))
-        if self._inline() or len(pairs) <= 1:
-            tracer = get_tracer()
-            results = []
-            for position, (_key, program) in enumerate(pairs):
-                self._check_deadline(position, len(pairs))
-                with tracer.span("pool.solve"):
-                    if len(pairs) > 1:
-                        tracer.annotate(shard=position)
-                    results.append(_solve_one(program, request))
-            return results
-        if self._mode == "thread":
-            return self._thread_map(lambda pair: _solve_one(pair[1], request),
-                                    pairs, label="pool.solve", shard_attr=True)
-        results = self._locked_round(_solve_requests(pairs, request))
-        return [results[position][0] for position in range(len(pairs))]
-
-    def solve_programs_resilient(self, keyed_programs: Sequence[tuple],
-                                 aggregate: AggregateFunction,
-                                 known_sum: float = 0.0,
-                                 known_count: float = 0.0
-                                 ) -> tuple[dict, dict]:
-        """:meth:`solve_programs`, but failure-tolerant per shard.
-
-        Returns ``(endpoints, failures)``: ``endpoints`` maps shard
-        positions to ``(lower, upper, closed)`` triples for every shard
-        that solved, and ``failures`` maps each shard that did not to a
-        reason string (``"deadline"``, ``"poison:<fingerprint>"``, or the
-        worker's error).  Nothing is raised for per-shard failures — this
-        is the entry point for ``degrade="worst-case"``, where the caller
-        substitutes each failed shard's precomputed worst-case range and
-        the merged result stays sound.
-        """
-        request = (aggregate, known_sum, known_count)
-        pairs = list(keyed_programs)
-        self._record_batch_traffic(len(pairs), len(pairs))
-        if not (self._inline() or len(pairs) <= 1) and self._mode == "thread":
-            deadline = current_deadline()
-
-            def tolerant(pair):
-                if deadline is not None and deadline.expired():
-                    return (False, "deadline")
-                try:
-                    return (True, _solve_one(pair[1], request))
-                except SolverError as error:
-                    return (False, f"{type(error).__name__}: {error}")
-
-            outcomes = self._thread_map(tolerant, pairs, label="pool.solve",
-                                        shard_attr=True, deadline_check=False)
-            endpoints = {position: value
-                         for position, (ok, value) in enumerate(outcomes)
-                         if ok}
-            failures = {position: value
-                        for position, (ok, value) in enumerate(outcomes)
-                        if not ok}
-            return endpoints, failures
-        if self._inline() or len(pairs) <= 1:
-            deadline = current_deadline()
-            tracer = get_tracer()
-            endpoints: dict = {}
-            failures: dict = {}
-            for position, (_key, program) in enumerate(pairs):
-                if deadline is not None and deadline.expired():
-                    failures[position] = "deadline"
-                    continue
-                try:
-                    with tracer.span("pool.solve"):
-                        if len(pairs) > 1:
-                            tracer.annotate(shard=position)
-                        endpoints[position] = _solve_one(program, request)
-                except SolverError as error:
-                    failures[position] = f"{type(error).__name__}: {error}"
-            return endpoints, failures
-        collected, failures = self._locked_round(
-            _solve_requests(pairs, request), tolerate=True)
-        return ({position: values[0]
-                 for position, values in collected.items()}, failures)
-
     def _check_deadline(self, completed: int, total: int) -> None:
         """Raise :class:`~repro.exceptions.QueryDeadlineError` when the
         ambient query deadline has expired (inline execution paths check
@@ -1087,8 +932,7 @@ class WorkerPool:
         return time.monotonic() < self._breaker_until
 
     def _thread_map(self, fn, items: list, label: str = "pool.task",
-                    shard_attr: bool = False,
-                    deadline_check: bool = True) -> list:
+                    shard_attr: bool = False) -> list:
         with self._round_lock:
             executor = self._ensure_started()
         # Thread-mode rounds run concurrently (no round lock), so the
@@ -1104,7 +948,7 @@ class WorkerPool:
         parent_id = parent.span_id if parent is not None else None
         # The ambient deadline is thread-local to the *caller*; capture it
         # here so the executor threads can honour it.
-        deadline = current_deadline() if deadline_check else None
+        deadline = current_deadline()
 
         def guarded(indexed):
             # Nested pool use from inside a pool thread runs inline —
@@ -1137,12 +981,12 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # Process-mode dispatch/collect with restart-on-death
     # ------------------------------------------------------------------ #
-    def _locked_round(self, requests: list, tolerate: bool = False):
+    def _locked_round(self, requests: list):
         with self._round_lock:
             self._ensure_started()
-            return self._run_round(requests, tolerate=tolerate)
+            return self._run_round(requests)
 
-    def _run_round(self, requests: list, tolerate: bool = False):
+    def _run_round(self, requests: list):
         """Dispatch one round of tasks and collect every result.
 
         Must run under ``_round_lock``: one dispatcher/collector at a time.
@@ -1166,16 +1010,11 @@ class WorkerPool:
         and are dropped as stale).  A task whose crash-retry budget is
         exhausted is *quarantined* — not re-dispatched — and its siblings
         drain before :class:`~repro.exceptions.PoisonTaskError` is raised,
-        so one poison payload fails exactly one round.  With
-        ``tolerate=True`` neither condition raises; the round returns
-        ``(collected, failures)`` where ``failures`` maps positions to
-        reason strings — the degraded-execution entry points substitute
-        sound worst-case ranges for those positions.
+        so one poison payload fails exactly one round.
         """
         self._bump("rounds")
         deadline = current_deadline()
         self._quarantined = []
-        failures: dict = {}
         pending: dict[int, _PendingTask] = {}
         backlogs: dict[int, deque] = {}
         overflow: deque = deque()
@@ -1197,21 +1036,6 @@ class WorkerPool:
                               + sum(len(b) for b in backlogs.values()))
                     abandoned = len(pending) + queued
                     get_tracer().annotate(deadline_abandoned=abandoned)
-                    if tolerate:
-                        for task in pending.values():
-                            if task.position is not None:
-                                failures.setdefault(task.position, "deadline")
-                        for backlog in backlogs.values():
-                            for _kind, _args, position in backlog:
-                                if position is not None:
-                                    failures.setdefault(position, "deadline")
-                        for _kind, _args, position in overflow:
-                            if position is not None:
-                                failures.setdefault(position, "deadline")
-                        pending.clear()
-                        backlogs.clear()
-                        overflow.clear()
-                        break
                     raise QueryDeadlineError(
                         f"query deadline of {deadline.seconds:.3f}s expired "
                         f"after {deadline.elapsed():.3f}s with "
@@ -1243,13 +1067,6 @@ class WorkerPool:
                     if task is None:
                         continue  # stale result from an abandoned round
                     if not ok:
-                        if (isinstance(payload, WorkerCacheMiss)
-                                and self._retry_cache_miss(task, pending)):
-                            continue
-                        if tolerate and task.position is not None:
-                            failures[task.position] = (
-                                f"{type(payload).__name__}: {payload}")
-                            continue
                         raise payload if isinstance(payload, BaseException) \
                             else SolverError(str(payload))
                     self._adopt_spans(task, worker_index, spans)
@@ -1259,20 +1076,14 @@ class WorkerPool:
             self._note_live(-len(requests))
         quarantined, self._quarantined = self._quarantined, []
         if quarantined:
-            for task, fingerprint in quarantined:
-                self._bump("tasks_quarantined")
-                if task.position is not None:
-                    failures[task.position] = f"poison:{fingerprint}"
-            if not tolerate:
-                task, fingerprint = quarantined[0]
-                raise PoisonTaskError(
-                    f"{task.kind!r} task (payload fingerprint {fingerprint}) "
-                    f"killed its worker {task.attempts} times and was "
-                    f"quarantined; {len(collected)} sibling tasks completed",
-                    kind=task.kind, fingerprint=fingerprint,
-                    attempts=task.attempts)
-        if tolerate:
-            return collected, failures
+            self._bump("tasks_quarantined", len(quarantined))
+            task, fingerprint = quarantined[0]
+            raise PoisonTaskError(
+                f"{task.kind!r} task (payload fingerprint {fingerprint}) "
+                f"killed its worker {task.attempts} times and was "
+                f"quarantined; {len(collected)} sibling tasks completed",
+                kind=task.kind, fingerprint=fingerprint,
+                attempts=task.attempts)
         return collected
 
     def _adopt_spans(self, task: _PendingTask, worker_index: int,
@@ -1280,9 +1091,9 @@ class WorkerPool:
         """Splice a reply's worker spans into the coordinator's trace.
 
         The adopted subtree's root is tagged with the worker that ran the
-        task and — for a per-shard ``solve_batch`` — the shard position,
-        which is what :meth:`repro.obs.profile.QueryProfile.shard_skew`
-        reads (``decompose_batch`` entries tag their own child spans)."""
+        task (``decompose_batch`` entries tag their own child spans with
+        the shard position :meth:`repro.obs.profile.QueryProfile.shard_skew`
+        reads)."""
         if not spans:
             return
         root = get_tracer().adopt(spans)
@@ -1290,11 +1101,9 @@ class WorkerPool:
             return
         root.attributes.setdefault("worker", worker_index)
         if task.attempts > 1:
-            # Crash-retried (or re-shipped) work is visible per task in
-            # EXPLAIN ANALYZE, not just in the aggregate counters.
+            # Crash-retried work is visible per task in EXPLAIN ANALYZE, not
+            # just in the aggregate counters.
             root.attributes.setdefault("attempts", task.attempts)
-        if task.position is not None and task.kind == "solve_batch":
-            root.attributes.setdefault("shard", task.position)
 
     def _feed_backlogs(self, backlogs: dict, overflow: deque,
                        pending: dict) -> None:
@@ -1321,26 +1130,6 @@ class WorkerPool:
             kind, args, position = overflow.popleft()
             self._dispatch(kind, args, position, pending, worker_index=target)
             outstanding[target] = outstanding.get(target, 0) + 1
-
-    def _retry_cache_miss(self, task: _PendingTask, pending: dict) -> bool:
-        """Re-dispatch a task whose worker evicted (or lost) its program.
-
-        Warm-key bookkeeping is advisory: the worker's LRU may have evicted
-        an entry the parent still lists as warm.  When the original request
-        carried the program, drop the stale warm mark and re-send with the
-        program attached; returns False (caller raises) when there is
-        nothing to re-ship or the task keeps failing.
-        """
-        if task.kind != "solve_batch":
-            return False
-        key, program = task.args[0], task.args[1]
-        if program is None or task.attempts >= _MAX_TASK_ATTEMPTS:
-            return False
-        self._workers[task.worker_index].warm_keys.discard(key)
-        self._dispatch(task.kind, task.args, task.position, pending,
-                       worker_index=task.worker_index,
-                       attempts=task.attempts + 1)
-        return True
 
     def _fault_directive(self, worker_index: int, kind: str,
                          position) -> tuple | None:
@@ -1405,10 +1194,6 @@ class WorkerPool:
             worker.warm_keys.add(key)
             self._bump("programs_shipped")
             return ("warm", task_id, key, program)
-        if kind == "solve_batch":
-            key, program, batch_requests = args
-            shipped = self._maybe_ship(worker, key, program)
-            return ("solve_batch", task_id, key, shipped, batch_requests)
         if kind == "decompose_batch":
             # Self-contained: no program shipping or warm bookkeeping.
             return (kind, task_id) + args
@@ -1522,8 +1307,8 @@ def shared_pool(mode: str = "thread", max_workers: int | None = None,
     """A process-global long-lived pool for callers without a service.
 
     Bare :class:`~repro.core.bounds.PCBoundSolver` instances (and therefore
-    the CLI ``bound --workers`` path) borrow from here, so repeated sharded
-    solves amortise worker start-up exactly like service traffic does.
+    the CLI ``bound --workers`` path) borrow from here, so repeated region
+    fan-outs amortise worker start-up exactly like service traffic does.
     Pools are keyed by (resolved mode, width, backend) and reaped atexit.
     """
     workers = max_workers or default_pool_workers()

@@ -75,9 +75,9 @@ class BoundPlan:
     milp_backend:
         Registry name of the backend the program's skeleton solves with.
     shard_strategy:
-        The sharding preference (``"auto"``, ``"component"`` or
-        ``"region"``) the sharding pass will honour when the executor asks
-        for a sharded layout — see :func:`repro.plan.sharding.select_sharding`.
+        The sharding preference (``"auto"`` or ``"region"``) the sharding
+        pass will honour when the solver asks for a sharded layout — see
+        :func:`repro.plan.sharding.select_sharding`.
     trace:
         One line per optimizer pass that changed the plan — the plan-level
         EXPLAIN output.

@@ -294,13 +294,13 @@ class BoundProgram:
         self._active_lowers = np.array([p.value_lower for p in self._active])
 
     # ------------------------------------------------------------------ #
-    # Pickling (process-pool solve fan-out)
+    # Pickling (process-pool fan-out)
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> dict:
         """Everything but the lock: compiled skeletons travel with the program.
 
-        The parallel solve executor hands warm programs to worker processes,
-        so lazily-built skeletons and forced extrema are deliberately kept in
+        The worker pool hands warm programs to worker processes, so
+        lazily-built skeletons and forced extrema are deliberately kept in
         the state — a worker receives the same warm artifact the parent had
         instead of re-deriving it.
         """

@@ -1,33 +1,17 @@
-"""Sharding as a plan-pipeline pass: pluggable strategies, one contract.
+"""Sharding as a plan-pipeline pass: region splitting, one contract.
 
-Sharding used to live in :mod:`repro.parallel` as a post-hoc utility that
-split an *already optimized* plan.  This module promotes it into the plan
-pipeline itself: a :class:`ShardingStrategy` is a pass that maps one
-optimized :class:`~repro.plan.ir.BoundPlan` to a :class:`ShardedBoundPlan`,
-and every downstream consumer — the bound solver, the worker pool, the
-service layer, the CLI — sees the same sharded-plan contract regardless of
-*how* the plan was split.  Two strategies ship:
+The sharding pass maps one optimized :class:`~repro.plan.ir.BoundPlan` to a
+:class:`ShardedBoundPlan`, and every downstream consumer — the bound
+solver, the worker pool, the service layer, the CLI — sees the same
+sharded-plan contract.  One strategy ships:
 
-**Constraint-component splitting** (:class:`ConstraintComponentSharding`).
-The §4.2 MILP couples two cell variables only when some predicate-constraint
-covers both, and a constraint covers a cell only when the cell lies inside
-its predicate.  Constraints whose predicates never overlap therefore never
-share a cell: the *connected components* of the predicate-overlap graph
-induce a block-diagonal MILP, and each block can compile and solve as its
-own :class:`~repro.plan.BoundProgram` on its own worker.  Per-shard result
-ranges recombine exactly through :func:`merge_shard_ranges`
-(COUNT/SUM-additive, MIN/MAX-extrema).  AVG does not separate (its target
-couples every cell), so it runs on the serial program.
-
-**Region-level splitting** (:class:`RegionSharding`).  A one-component
-overlap graph defeats component splitting — and it is exactly the regime
-where the exponential cell enumeration hurts most.  The region splitter
+**Region-level splitting** (:class:`RegionSharding`).  The region splitter
 partitions the query region along a *partition attribute* into sub-regions
 covering the attribute's whole line, and each shard is the parent plan with
 the sub-region pushed down.  Because frequency budgets do **not** decompose
 across a region cut (a constraint straddling the cut could spend its whole
 ``ku`` on either side, so summing per-sub-region optima would double-count
-it), region shards deliberately merge one level *below* ranges: each shard
+it), region shards deliberately merge *below* ranges: each shard
 contributes its sub-region's satisfiable **cells**, and
 :func:`merge_shard_decompositions` unions them into a decomposition that is
 provably identical to the serial one —
@@ -38,19 +22,16 @@ provably identical to the serial one —
   shard cell is a serial cell (soundness);
 * DFS rewriting is an exact implication and early stopping assumes the same
   below-depth subtrees in whichever shard reaches them, so the equality
-  holds for every enumeration strategy and depth.
+  holds for every enumeration strategy and depth;
+* the union is put back in the order the serial enumerator emits cells, so
+  the compiled program sees its columns in serial order too.
 
-The compiled program over the merged decomposition *is* the serial program,
-so all five aggregates — AVG included — return bit-identical ranges while
-the enumeration work fans out across the worker pool.  Range-level merging
-then degenerates to the single-program case (or to component merging, when
-the caller composes both), which is what keeps ``merge_shard_ranges`` the
-single range-combination contract for every strategy.
+The compiled program over the merged decomposition *is* the serial
+program, so all five aggregates return bit-identical ranges while the
+enumeration work fans out across the worker pool.  Every query is then
+solved by that one program.
 
-Strategy selection (:func:`select_sharding`) is the sharding arm of the
-optimizer's strategy-selection pass: component splitting wins whenever the
-overlap graph shards (it parallelises whole solves exactly), region
-splitting covers the one-component remainder, gated — under the default
+Strategy selection (:func:`select_sharding`) is gated — under the default
 ``auto`` preference — on the estimated cell count (observed-density-scaled
 when an :class:`~repro.plan.passes.ObservedCellStatistics` feed is
 supplied), so trivially small decompositions never pay fan-out overhead.
@@ -67,35 +48,24 @@ from dataclasses import dataclass
 from ..core.cells import (
     CellDecomposition,
     DecompositionStatistics,
+    DecompositionStrategy,
     decomposition_cache_key,
 )
 from ..core.pcset import PredicateConstraintSet
 from ..core.predicates import Predicate
-from ..core.ranges import ResultRange
 from ..exceptions import PredicateError, SolverError
-from ..relational.aggregates import AggregateFunction
 from .ir import BoundPlan, BoundQuery
 from .passes import ObservedCellStatistics, ShardLoadMemo, estimated_cell_count
 
-__all__ = ["SHARDABLE_AGGREGATES", "SHARD_STRATEGIES", "PlanShard",
-           "ShardedBoundPlan", "ShardingStrategy", "ConstraintComponentSharding",
-           "RegionSharding", "default_shard_strategy", "select_sharding",
-           "partition_constraint_indices", "shard_plan", "merge_shard_ranges",
-           "merge_shard_statistics", "merge_shard_decompositions",
-           "slice_cache_keys"]
+__all__ = ["SHARD_STRATEGIES", "PlanShard", "ShardedBoundPlan",
+           "RegionSharding", "default_shard_strategy",
+           "select_sharding", "merge_shard_statistics",
+           "merge_shard_decompositions", "slice_cache_keys"]
 
 _INF = float("inf")
 
-#: Aggregates whose bounds recombine exactly from independent shards.
-SHARDABLE_AGGREGATES = frozenset({
-    AggregateFunction.COUNT,
-    AggregateFunction.SUM,
-    AggregateFunction.MIN,
-    AggregateFunction.MAX,
-})
-
 #: The recognised shard-strategy preferences (``BoundOptions.shard_strategy``).
-SHARD_STRATEGIES = ("auto", "component", "region")
+SHARD_STRATEGIES = ("auto", "region")
 
 #: Estimated satisfiable cells below which ``auto`` skips region splitting —
 #: decompositions this small finish faster inline than any fan-out round.
@@ -113,62 +83,19 @@ def default_shard_strategy() -> str:
     return value if value in SHARD_STRATEGIES else "auto"
 
 
-def partition_constraint_indices(pcset: PredicateConstraintSet
-                                 ) -> list[tuple[int, ...]]:
-    """Connected components of the predicate-overlap graph, as index tuples.
-
-    Components are ordered by their smallest member and indices inside a
-    component are ascending, so the partition is deterministic for a given
-    constraint order.  A pairwise-disjoint set (the paper's partitioned fast
-    path) short-circuits to singletons without the quadratic overlap scan.
-    """
-    count = len(pcset)
-    if count == 0:
-        return []
-    if pcset.is_pairwise_disjoint():
-        return [(index,) for index in range(count)]
-    predicates = pcset.predicates()
-    parent = list(range(count))
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for i in range(count):
-        for j in range(i + 1, count):
-            root_i, root_j = find(i), find(j)
-            if root_i == root_j:
-                continue
-            if predicates[i].overlaps(predicates[j]):
-                parent[root_j] = root_i
-    components: dict[int, list[int]] = {}
-    for index in range(count):
-        components.setdefault(find(index), []).append(index)
-    ordered = sorted(components.values(), key=lambda member: member[0])
-    return [tuple(member) for member in ordered]
-
-
 @dataclass(frozen=True)
 class PlanShard:
-    """One independent slice of a sharded plan.
+    """One slice of a region-sharded plan.
 
-    For component shards ``indices`` are the positions of this shard's
-    constraints in the parent plan's (optimized) constraint set and ``plan``
-    is a complete :class:`BoundPlan` over just those constraints.  For
-    region shards the constraint set is the parent's in full (``indices``
-    spans it) and ``plan`` instead narrows the *query region* to this
-    shard's slice of the partition attribute; ``partition_attribute`` and
-    ``bounds`` record the slice.  Either way the shard plan compiles through
-    the ordinary :func:`repro.plan.compile_plan` path.
+    The constraint set is the parent's in full and ``plan`` narrows the
+    *query region* to this shard's slice of the partition attribute;
+    ``partition_attribute`` and ``bounds`` record the slice.  The shard plan
+    decomposes through the ordinary cell enumerator.
     """
 
     shard_index: int
     shard_count: int
-    indices: tuple[int, ...]
     plan: BoundPlan
-    split: str = "component"
     partition_attribute: str | None = None
     bounds: tuple[float, float] | None = None
 
@@ -177,47 +104,38 @@ class PlanShard:
         return self.plan.pcset
 
     def cache_token(self) -> tuple:
-        """A key suffix distinguishing this shard in the program cache.
+        """A key suffix distinguishing this shard from its pair's program.
 
-        Appended to the existing (namespace, region, attribute) program key.
-        Component shards keep the historical token shape (constraint indices
-        plus shard layout); region shards key by their partition slice, so a
-        region shard can never alias a component shard — or the unsharded
-        program — of the same pair.
+        Appended to the (namespace, region, attribute) program key to route
+        the shard's enumeration to a sticky pool worker; keyed by the
+        partition slice, so a shard never aliases the unsharded program.
         """
-        if self.split == "region":
-            return ("region-shard", self.shard_count, self.shard_index,
-                    self.partition_attribute, self.bounds)
-        return ("shard", self.shard_count, self.shard_index, self.indices)
+        return ("region-shard", self.shard_count, self.shard_index,
+                self.partition_attribute, self.bounds)
 
     def describe(self) -> str:
-        if self.split == "region":
-            low, high = self.bounds if self.bounds is not None else (-_INF, _INF)
+        if self.bounds is None:
             return (f"shard {self.shard_index + 1}/{self.shard_count}: "
-                    f"{self.partition_attribute} in [{low}, {high}] "
-                    f"({len(self.pcset)} constraint(s))")
-        names = ", ".join(pc.name for pc in self.pcset)
+                    f"whole region ({len(self.pcset)} constraint(s))")
+        low, high = self.bounds
         return (f"shard {self.shard_index + 1}/{self.shard_count}: "
-                f"{len(self.pcset)} constraint(s) [{names}]")
+                f"{self.partition_attribute} in [{low}, {high}] "
+                f"({len(self.pcset)} constraint(s))")
 
 
 @dataclass(frozen=True)
 class ShardedBoundPlan:
-    """A bound plan split into independently-executable shards.
+    """A bound plan split into independently-decomposable shards.
 
-    ``strategy`` names the splitter that produced the layout (``"component"``
-    or ``"region"``) and decides how shard results recombine: component
-    shards solve independently and merge *ranges*
-    (:func:`merge_shard_ranges`); region shards decompose independently and
-    merge *cells* (:func:`merge_shard_decompositions`) into the serial
-    program.  A plan the strategy could not split yields exactly one shard,
-    which callers should treat as "do not shard" (:attr:`is_sharded` is
-    False).
+    Region shards decompose independently and merge *cells*
+    (:func:`merge_shard_decompositions`) into the serial program.  A plan
+    the strategy could not split yields exactly one shard, which callers
+    should treat as "do not shard" (:attr:`is_sharded` is False).
     """
 
     parent: BoundPlan
     shards: tuple[PlanShard, ...]
-    strategy: str = "component"
+    strategy: str = "region"
 
     @property
     def is_sharded(self) -> bool:
@@ -236,99 +154,13 @@ class ShardedBoundPlan:
         return "\n".join(lines)
 
 
-class ShardingStrategy:
-    """A plan-pipeline pass mapping an optimized plan to a sharded layout.
-
-    Implementations must be pure: ``split`` may not solve, decompose, or
-    mutate the plan — it only *proposes* a layout, which is what lets the
-    service layer price a query from its sharded plan before any work is
-    dispatched.  ``split`` always returns a :class:`ShardedBoundPlan`; a
-    plan the strategy cannot usefully split comes back as a single shard
-    (``is_sharded`` False) rather than an error, so strategies compose in
-    preference order.
-    """
-
-    name: str = "sharding"
-
-    def split(self, plan: BoundPlan,
-              max_shards: int | None = None) -> ShardedBoundPlan:
-        raise NotImplementedError
-
-    @staticmethod
-    def _validate_max_shards(max_shards: int | None) -> None:
-        if max_shards is not None and max_shards < 1:
-            raise SolverError(f"max_shards must be positive, got {max_shards}")
-
-
-def _single_shard(plan: BoundPlan, strategy: str) -> ShardedBoundPlan:
+def _single_shard(plan: BoundPlan) -> ShardedBoundPlan:
     """The degenerate "do not shard" layout (one full-plan shard)."""
-    shard = PlanShard(shard_index=0, shard_count=1,
-                      indices=tuple(range(len(plan.pcset))), plan=plan,
-                      split=strategy)
-    return ShardedBoundPlan(parent=plan, shards=(shard,), strategy=strategy)
+    shard = PlanShard(shard_index=0, shard_count=1, plan=plan)
+    return ShardedBoundPlan(parent=plan, shards=(shard,))
 
 
-def _group_components(components: list[tuple[int, ...]],
-                      max_shards: int) -> list[list[int]]:
-    """Pack components into at most ``max_shards`` groups, balancing size.
-
-    Greedy longest-processing-time: components in decreasing size land on
-    the currently-lightest group.  Constraint count stands in for cost —
-    cell enumeration and model size both grow with it.  Group membership is
-    re-sorted so each shard preserves the parent's constraint order.
-    """
-    bins: list[list[int]] = [[] for _ in range(min(max_shards, len(components)))]
-    loads = [0] * len(bins)
-    for component in sorted(components, key=len, reverse=True):
-        target = loads.index(min(loads))
-        bins[target].extend(component)
-        loads[target] += len(component)
-    groups = [sorted(group) for group in bins if group]
-    groups.sort(key=lambda group: group[0])
-    return groups
-
-
-class ConstraintComponentSharding(ShardingStrategy):
-    """Split a plan along the independent components of its overlap graph.
-
-    ``max_shards`` caps the number of shards (e.g. at the worker-pool
-    width); surplus components are packed together, which stays exact —
-    a shard holding two independent components is itself block-diagonal.
-    Plans whose overlap graph is one component come back as a single shard.
-    """
-
-    name = "component"
-
-    def split(self, plan: BoundPlan,
-              max_shards: int | None = None) -> ShardedBoundPlan:
-        self._validate_max_shards(max_shards)
-        components = partition_constraint_indices(plan.pcset)
-        if len(components) <= 1:
-            groups = [sorted(components[0])] if components else []
-        else:
-            groups = _group_components(components, max_shards or len(components))
-        if not groups:
-            groups = [[]]
-        disjoint = plan.pcset.is_pairwise_disjoint()
-        shards = []
-        for shard_index, indices in enumerate(groups):
-            subset = PredicateConstraintSet(
-                [plan.pcset[index] for index in indices], plan.pcset.domains)
-            if disjoint:
-                subset.mark_disjoint(True)
-            shard_plan_ir = plan.amended(pcset=subset).annotated(
-                f"sharding: component slice {shard_index + 1}/{len(groups)} "
-                f"({len(indices)} of {len(plan.pcset)} constraint(s))")
-            shards.append(PlanShard(shard_index=shard_index,
-                                    shard_count=len(groups),
-                                    indices=tuple(indices),
-                                    plan=shard_plan_ir,
-                                    split="component"))
-        return ShardedBoundPlan(parent=plan, shards=tuple(shards),
-                                strategy="component")
-
-
-class RegionSharding(ShardingStrategy):
+class RegionSharding:
     """Split a plan's query region along a partition attribute.
 
     The attribute is chosen automatically (the numeric attribute bounded by
@@ -341,9 +173,13 @@ class RegionSharding(ShardingStrategy):
     module docstring).  Every shard keeps the parent's full constraint set —
     cells index into the parent's constraint order, which is what lets
     :func:`merge_shard_decompositions` reassemble the serial decomposition.
-    """
 
-    name = "region"
+    ``split`` is pure: it may not solve, decompose, or mutate the plan — it
+    only *proposes* a layout, which is what lets the service layer price a
+    query from its sharded plan before any work is dispatched.  A plan it
+    cannot usefully split comes back as a single shard (``is_sharded``
+    False) rather than an error.
+    """
 
     def __init__(self, attribute: str | None = None,
                  shard_loads: ShardLoadMemo | None = None):
@@ -352,14 +188,15 @@ class RegionSharding(ShardingStrategy):
 
     def split(self, plan: BoundPlan,
               max_shards: int | None = None) -> ShardedBoundPlan:
-        self._validate_max_shards(max_shards)
+        if max_shards is not None and max_shards < 1:
+            raise SolverError(f"max_shards must be positive, got {max_shards}")
         if max_shards is None:
             max_shards = 2
         if max_shards < 2 or len(plan.pcset) == 0:
-            return _single_shard(plan, "region")
+            return _single_shard(plan)
         attribute = self._attribute or self.partition_attribute(plan)
         if attribute is None:
-            return _single_shard(plan, "region")
+            return _single_shard(plan)
         slice_loads = None
         if self._shard_loads is not None:
             slice_loads = self._shard_loads.slice_loads(plan.query.region,
@@ -367,7 +204,7 @@ class RegionSharding(ShardingStrategy):
         cuts = self.cut_points(plan, attribute, max_shards,
                                slice_loads=slice_loads)
         if not cuts:
-            return _single_shard(plan, "region")
+            return _single_shard(plan)
         edges = [-_INF, *cuts, _INF]
         slices = list(zip(edges[:-1], edges[1:]))
         region = plan.query.region
@@ -380,7 +217,7 @@ class RegionSharding(ShardingStrategy):
                 continue  # the slice misses the query region entirely
             kept.append(((low, high), sub_region))
         if len(kept) < 2:
-            return _single_shard(plan, "region")
+            return _single_shard(plan)
         shards = []
         for shard_index, (bounds, sub_region) in enumerate(kept):
             query = BoundQuery(plan.query.aggregate, plan.query.attribute,
@@ -390,13 +227,10 @@ class RegionSharding(ShardingStrategy):
                 f"({attribute} in [{bounds[0]}, {bounds[1]}])")
             shards.append(PlanShard(shard_index=shard_index,
                                     shard_count=len(kept),
-                                    indices=tuple(range(len(plan.pcset))),
                                     plan=shard_plan_ir,
-                                    split="region",
                                     partition_attribute=attribute,
                                     bounds=bounds))
-        return ShardedBoundPlan(parent=plan, shards=tuple(shards),
-                                strategy="region")
+        return ShardedBoundPlan(parent=plan, shards=tuple(shards))
 
     # ------------------------------------------------------------------ #
     # Partition-attribute and cut-point selection (pure predicate math)
@@ -536,37 +370,24 @@ class RegionSharding(ShardingStrategy):
                 for gap in sorted(chosen)]
 
 
-def shard_plan(plan: BoundPlan, max_shards: int | None = None
-               ) -> ShardedBoundPlan:
-    """Split a plan along its constraint components (the historical API).
-
-    Kept as the stable entry point for callers that want component
-    splitting specifically; :func:`select_sharding` is the strategy-aware
-    front door the solver uses.
-    """
-    return ConstraintComponentSharding().split(plan, max_shards)
-
 
 def select_sharding(plan: BoundPlan, max_shards: int | None = None,
                     cell_statistics: ObservedCellStatistics | None = None,
                     shard_loads: ShardLoadMemo | None = None
                     ) -> ShardedBoundPlan:
-    """Choose and apply the sharding strategy for ``plan``.
+    """Choose and apply the sharding layout for ``plan``.
 
     The preference comes from ``plan.shard_strategy`` (lowered from
     ``BoundOptions.shard_strategy`` by :func:`~repro.plan.ir.build_plan`):
 
-    * ``"component"`` — component splitting only; one-component plans stay
-      unsharded (the pre-region behaviour).
-    * ``"region"`` — component splitting when the overlap graph shards
-      (it parallelises whole solves exactly, so it always dominates), region
-      splitting for the one-component remainder, unconditionally.
-    * ``"auto"`` (default) — like ``"region"``, but region splitting only
-      engages when the estimated cell count (observed-density-scaled when a
-      feed is supplied — the same signal budget-driven strategy selection
-      uses) reaches :data:`REGION_SHARDING_MIN_CELLS`; tiny enumerations
-      run inline faster than any fan-out round.
+    * ``"region"`` — region splitting, unconditionally.
+    * ``"auto"`` (default) — region splitting only when the estimated cell
+      count (observed-density-scaled when a feed is supplied — the same
+      signal budget-driven strategy selection uses) reaches
+      :data:`REGION_SHARDING_MIN_CELLS`; tiny enumerations run inline
+      faster than any fan-out round.
 
+    A plan the region splitter cannot cut comes back as one shard.
     ``shard_loads`` feeds observed per-slice cell loads back into region
     cut placement (see :class:`~repro.plan.passes.ShardLoadMemo`); it can
     move cuts, never change what a merged decomposition contains.
@@ -576,41 +397,16 @@ def select_sharding(plan: BoundPlan, max_shards: int | None = None,
         raise SolverError(
             f"unknown shard strategy {preference!r}; expected one of "
             f"{SHARD_STRATEGIES}")
-    component = ConstraintComponentSharding().split(plan, max_shards)
-    if preference == "component" or component.is_sharded:
-        return component
     if preference == "auto":
         estimate, _ = estimated_cell_count(plan, cell_statistics)
         if estimate < REGION_SHARDING_MIN_CELLS:
-            return component
-    region = RegionSharding(shard_loads=shard_loads).split(plan, max_shards)
-    return region if region.is_sharded else component
+            return _single_shard(plan)
+    return RegionSharding(shard_loads=shard_loads).split(plan, max_shards)
 
 
 # --------------------------------------------------------------------- #
 # Merge contracts
 # --------------------------------------------------------------------- #
-def _merge_additive(ranges: list[ResultRange]) -> tuple[float, float]:
-    lower = 0.0
-    upper = 0.0
-    for result in ranges:
-        # COUNT/SUM shard ranges always carry numeric endpoints (possibly
-        # infinite); None would indicate a non-additive aggregate slipped in.
-        if result.lower is None or result.upper is None:
-            raise SolverError(
-                f"cannot additively merge range with undefined endpoint: {result}")
-        lower += result.lower
-        upper += result.upper
-    return lower, upper
-
-
-def _merge_extremum(values: list[float | None], want_max: bool) -> float | None:
-    present = [value for value in values if value is not None]
-    if not present:
-        return None
-    return max(present) if want_max else min(present)
-
-
 def merge_shard_statistics(statistics_list) -> DecompositionStatistics:
     """Sum per-shard decomposition counters into one batch-level record.
 
@@ -630,41 +426,6 @@ def merge_shard_statistics(statistics_list) -> DecompositionStatistics:
         merged.satisfiable_cells += statistics.satisfiable_cells
         merged.assumed_satisfiable += statistics.assumed_satisfiable
     return merged
-
-
-def merge_shard_ranges(aggregate: AggregateFunction,
-                       ranges: list[ResultRange],
-                       attribute: str | None = None,
-                       statistics: DecompositionStatistics | None = None
-                       ) -> ResultRange:
-    """Recombine per-shard missing-partition ranges into the full range.
-
-    COUNT/SUM add endpoint-wise (the separable-MILP argument in the module
-    docstring); MAX/MIN take extrema with ``None`` endpoints meaning "this
-    shard guarantees/permits no rows" and dropping out of the merge.  AVG is
-    rejected — it runs on the serial program instead.  This is the one range-combination contract every
-    strategy shares: component shards feed it their per-shard solves, and
-    region shards reach it through the merged serial-identical program
-    (trivially, as the one-shard case).
-    """
-    if aggregate not in SHARDABLE_AGGREGATES:
-        raise SolverError(
-            f"{aggregate.value} bounds do not decompose across shards")
-    if not ranges:
-        raise SolverError("merge_shard_ranges() needs at least one range")
-    if aggregate in (AggregateFunction.COUNT, AggregateFunction.SUM):
-        lower, upper = _merge_additive(ranges)
-    elif aggregate is AggregateFunction.MAX:
-        # Any shard's guaranteed row is a global guarantee; the largest
-        # possible value overall is the largest any shard permits.
-        lower = _merge_extremum([result.lower for result in ranges], want_max=True)
-        upper = _merge_extremum([result.upper for result in ranges], want_max=True)
-    else:
-        lower = _merge_extremum([result.lower for result in ranges], want_max=False)
-        upper = _merge_extremum([result.upper for result in ranges], want_max=False)
-    return ResultRange(lower, upper, aggregate, attribute,
-                       closed=all(result.closed for result in ranges),
-                       statistics=statistics)
 
 
 def slice_cache_keys(sharded: ShardedBoundPlan, namespace: object) -> list[tuple]:
@@ -695,6 +456,20 @@ def slice_cache_keys(sharded: ShardedBoundPlan, namespace: object) -> list[tuple
             for shard in sharded]
 
 
+def _serial_order(strategy: DecompositionStrategy, count: int):
+    """The sort key that puts cells in the serial enumerator's order.
+
+    The DFS strategies recurse include-first by constraint index, so cells
+    come out lexicographically by "is constraint ``i`` excluded?"; ``NAIVE``
+    walks covering bitmasks in ascending order.  The pairwise-disjoint
+    fast path emits singletons by index, which both keys reproduce.
+    """
+    if strategy is DecompositionStrategy.NAIVE:
+        return lambda cell: sum(1 << index for index in cell.covering)
+    return lambda cell: tuple(index not in cell.covering
+                              for index in range(count))
+
+
 def merge_shard_decompositions(plan: BoundPlan,
                                decompositions: list[CellDecomposition]
                                ) -> CellDecomposition:
@@ -702,23 +477,22 @@ def merge_shard_decompositions(plan: BoundPlan,
 
     Cells are deduplicated by covering set (a cell satisfiable on both
     sides of a cut — e.g. one containing the cut point — appears in two
-    shards) and ordered canonically, so the merged decomposition is
-    deterministic regardless of shard completion order.  Counters are
-    summed — the merged record reports the total work the shards paid,
-    matching :func:`merge_shard_statistics` semantics — while
-    ``num_constraints`` and ``satisfiable_cells`` describe the merged
-    artifact itself, which keeps the observed-density feed
-    (:class:`~repro.plan.passes.ObservedCellStatistics`) exact: density is
-    *deduplicated* cells over the worst case for the *parent's* constraint
-    count.
+    shards) and sorted into the serial enumerator's order, so the merged
+    decomposition equals the serial one cell for cell, whatever order the
+    shards completed in.  Counters are summed — the merged record reports
+    the total work the shards paid, matching :func:`merge_shard_statistics`
+    semantics — while ``num_constraints`` and ``satisfiable_cells``
+    describe the merged artifact itself, which keeps the observed-density
+    feed (:class:`~repro.plan.passes.ObservedCellStatistics`) exact:
+    density is *deduplicated* cells over the worst case for the *parent's*
+    constraint count.
     """
     seen: dict[frozenset, object] = {}
     for decomposition in decompositions:
         for cell in decomposition.cells:
             seen.setdefault(cell.covering, cell)
     cells = sorted(seen.values(),
-                   key=lambda cell: (len(cell.covering),
-                                     tuple(sorted(cell.covering))))
+                   key=_serial_order(plan.strategy, len(plan.pcset)))
     statistics = merge_shard_statistics(
         decomposition.statistics for decomposition in decompositions)
     statistics.num_constraints = len(plan.pcset)

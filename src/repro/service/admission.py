@@ -115,13 +115,15 @@ def price_query(solver, query, *, pool_statistics=None,
     patched-objective solve over one cell):
 
     * **build cost** — a cold (region, attribute) pair pays the enumeration
-      plus compilation, ``estimated_cells + constraints``; a warm pair pays
+      plus compilation, ``estimated_cells + constraints``, divided by the
+      region shard count (shards enumerate concurrently); a warm pair pays
       nothing.  The worker pool's warm-hit rate discounts the cold cost —
       a pool that has been answering this workload likely holds the
-      per-shard skeletons already.
-    * **solve cost** — one objective patch over the estimated cells, divided
-      by the shard count (shards solve concurrently).  AVG runs a certified
-      Dinkelbach search per side, one patched solve per step, so it pays
+      skeletons already.
+    * **solve cost** — one objective patch over the estimated cells.  Every
+      query is solved by the one serial program, so no shard count divides
+      this term.  AVG runs a certified Dinkelbach search per side, one
+      patched solve per step, so it pays
       ``2 · min(AVG_SOLVES_PER_SIDE, avg_max_iterations)`` solves instead of
       one.  The per-side count is measured, not the iteration budget: over
       the cold-mixed benchmark window (seed 1) the search took 240 HiGHS
@@ -145,16 +147,7 @@ def price_query(solver, query, *, pool_statistics=None,
     fans_out = (workers is not None and workers > 1) and sharded.is_sharded
     shard_count = len(sharded) if fans_out else 1
     strategy = sharded.strategy if fans_out else "serial"
-    # Warmth is probed against the programs the chosen layout will actually
-    # look up: component-sharded execution compiles only shard-token keys
-    # (the unsharded pair key stays forever cold there), while serial and
-    # region-sharded execution compile the pair program itself.
-    if fans_out and sharded.strategy == "component":
-        warm = all(solver.has_cached_program(query.region, query.attribute,
-                                             shard=shard)
-                   for shard in sharded)
-    else:
-        warm = solver.has_cached_program(query.region, query.attribute)
+    warm = solver.has_cached_program(query.region, query.attribute)
     warm_hit_rate = 0.0
     if pool_statistics is not None:
         warm_hit_rate = min(1.0, max(0.0, pool_statistics.warm_hit_rate))
@@ -162,15 +155,15 @@ def price_query(solver, query, *, pool_statistics=None,
     build = 0.0
     if not warm:
         build = float(cells + constraints)
-        # Sharded builds fan out; pool warmth means skeletons are likely
-        # already resident worker-side.
+        # Region-sharded enumeration fans out; pool warmth means skeletons
+        # are likely already resident worker-side.
         build = build / shard_count * (1.0 - 0.5 * warm_hit_rate)
     probes = 1
     if query.aggregate is AggregateFunction.AVG:
         probes = 2 * min(AVG_SOLVES_PER_SIDE,
                          getattr(solver.options, "avg_max_iterations",
                                  AVG_SOLVES_PER_SIDE))
-    solve = probes * float(cells) / shard_count
+    solve = probes * float(cells)
     return QueryCost(units=build + solve,
                      aggregate=query.aggregate.value,
                      constraint_count=constraints,
@@ -199,8 +192,8 @@ def admissible_cell_budget(cost: QueryCost, budget: float) -> int:
     # Recover the probe multiplier from the priced total — the only term
     # price_query derives from options rather than recording on the cost.
     build = (cells + cost.constraint_count) * discount
-    probes = max((cost.units - build) * shard_count / cells, 1.0)
-    per_cell = probes / shard_count + discount
+    probes = max((cost.units - build) / cells, 1.0)
+    per_cell = probes + discount
     base = cost.constraint_count * discount
     if budget <= base:
         return 0

@@ -162,24 +162,6 @@ class TestPricing:
         assert warm.program_warm and not cold.program_warm
         assert warm.units < cold.units
 
-    def test_warm_discount_applies_to_component_sharded_sessions(self):
-        # Component-sharded execution compiles only shard-token program
-        # keys; warmth must be probed against those, not the (forever
-        # cold) unsharded pair key.
-        pcset = PredicateConstraintSet(
-            [pc(float(2 * i), 2 * i + 0.9, f"w{i}") for i in range(4)])
-        pcset.mark_disjoint(True)
-        solver = PCBoundSolver(pcset, BoundOptions(
-            check_closure=False, solve_workers=2,
-            shard_strategy="component"))
-        query = ContingencyQuery.count()
-        cold = price_query(solver, query)
-        assert cold.strategy == "component" and not cold.program_warm
-        solver.bound(query.aggregate)  # compiles the per-shard programs
-        warm = price_query(solver, query)
-        assert warm.program_warm
-        assert warm.units < cold.units
-
     def test_fanned_out_query_is_cheaper_than_serial(self):
         _, serial = self.price(chain_pcset(6), ContingencyQuery.count())
         _, sharded = self.price(chain_pcset(6), ContingencyQuery.count(),
@@ -216,18 +198,19 @@ class TestPricing:
         solver, avg = self.price(chain_pcset(6), ContingencyQuery.avg("v"),
                                  **options)
         cells, shards = avg.estimated_cells, avg.shard_count
-        # Cold: every cell pays its build share plus both search sides.
+        # Cold: every cell pays its build share (split across the region
+        # shards that enumerate it) plus both search sides on the one
+        # serial program — the solve term is never divided by shards.
         base = avg.constraint_count / shards
         assert (avg.units - base) / cells == pytest.approx(
-            (1 + 2 * AVG_SOLVES_PER_SIDE) / shards)
+            1 / shards + 2 * AVG_SOLVES_PER_SIDE)
         assert admissible_cell_budget(avg, avg.units + 1e-9) == cells
         assert admissible_cell_budget(avg, avg.units - 1e-6) == cells - 1
         # Warm: the solves alone.
         solver.bound(AggregateFunction.AVG, "v")
         warm = price_query(solver, ContingencyQuery.avg("v"))
         assert warm.program_warm
-        assert warm.units == pytest.approx(
-            2 * AVG_SOLVES_PER_SIDE * cells / shards)
+        assert warm.units == pytest.approx(2 * AVG_SOLVES_PER_SIDE * cells)
         assert admissible_cell_budget(warm, warm.units + 1e-9) == cells
         assert admissible_cell_budget(warm, warm.units - 1e-6) == cells - 1
 

@@ -124,20 +124,22 @@ class TestCliBound:
         code = main(["bound", "--constraints", str(disjoint_constraint_file),
                      "--aggregate", "sum", "--attribute", "price",
                      "--workers", "2", "--parallel-mode", "thread",
-                     "--no-closure-check"])
+                     "--shard-strategy", "auto", "--no-closure-check"])
         assert code == 0
         output = capsys.readouterr().out
         assert "shard(s) over 2 worker(s) on the shared thread pool" in output
-        assert "merged shard solves" in output
+        # Four disjoint windows are too few cells for ``auto`` to split.
+        assert "unsplittable; solved serially" in output
 
     def test_bound_workers_avg_runs_serial_program(self, capsys,
                                                    disjoint_constraint_file):
         code = main(["bound", "--constraints", str(disjoint_constraint_file),
                      "--aggregate", "avg", "--attribute", "price",
-                     "--workers", "2", "--no-closure-check"])
+                     "--workers", "2", "--shard-strategy", "region",
+                     "--no-closure-check"])
         assert code == 0
         output = capsys.readouterr().out
-        assert "AVG solved on the serial program" in output
+        assert "solved on the serial program" in output
         assert "result range" in output
 
     def test_bound_workers_match_serial_ranges(self, capsys,
@@ -346,8 +348,8 @@ class TestCliSessions:
 class TestCliShardingAndAdmission:
     @pytest.fixture
     def chained_constraint_file(self, tmp_path):
-        """Overlapping windows — one overlap component (unshardable by
-        constraint components), the region splitter's target regime."""
+        """Overlapping windows — one overlap component, the region
+        splitter's target regime."""
         path = tmp_path / "chained.txt"
         path.write_text(
             "0 <= utc <= 2 => 1.0 <= price <= 10.0, (0, 5)\n"
@@ -386,14 +388,23 @@ class TestCliShardingAndAdmission:
                              "--no-closure-check"])
         assert serial == region
 
-    def test_bound_component_strategy_reports_unsplittable(
-            self, capsys, chained_constraint_file):
-        code = main(["bound", "--constraints", str(chained_constraint_file),
+    def test_bound_reports_unsplittable_plan(self, capsys, tmp_path):
+        # One window shows one interval midpoint: no cut point exists.
+        path = tmp_path / "single.txt"
+        path.write_text("0 <= utc <= 2 => 1.0 <= price <= 10.0, (0, 5)\n")
+        code = main(["bound", "--constraints", str(path),
                      "--aggregate", "count",
-                     "--workers", "2", "--shard-strategy", "component",
+                     "--workers", "2", "--shard-strategy", "region",
                      "--no-closure-check"])
         assert code == 0
         assert "unsplittable; solved serially" in capsys.readouterr().out
+
+    def test_component_strategy_is_no_longer_a_choice(
+            self, chained_constraint_file):
+        with pytest.raises(SystemExit):
+            main(["bound", "--constraints", str(chained_constraint_file),
+                  "--aggregate", "count", "--workers", "2",
+                  "--shard-strategy", "component", "--no-closure-check"])
 
     def test_serve_batch_max_cost_rejects_before_solving(
             self, capsys, chained_constraint_file, query_file):

@@ -15,10 +15,9 @@ machine, every time:
 * **deadlines** — delayed replies past the query deadline abandon the
   round and raise :class:`~repro.exceptions.QueryDeadlineError` carrying
   partial progress, well under the injected delay's total cost;
-* **graceful degradation** — under ``degrade="worst-case"`` a poisoned
-  shard contributes its precomputed worst-case range instead: the merged
-  range stays a sound superset of the exact one and the result is stamped
-  with the degraded shard positions.
+* **graceful degradation** — under ``degrade="worst-case"`` a solve that
+  fails returns the program's worst-case range instead: the range stays a
+  sound superset of the exact one and the result is stamped as degraded.
 """
 
 from __future__ import annotations
@@ -32,8 +31,15 @@ import pytest
 
 from repro.core.bounds import BoundOptions, PCBoundSolver
 from repro.core.builders import build_partition_pcs
+from repro.core.cells import CellDecomposer
 from repro.core.engine import ContingencyQuery, PCAnalyzer
-from repro.exceptions import PoisonTaskError, QueryDeadlineError, ReproError
+from repro.core.predicates import Predicate
+from repro.exceptions import (
+    PoisonTaskError,
+    QueryDeadlineError,
+    ReproError,
+    SolverError,
+)
 from repro.faults import (
     FAULTS_ENV,
     Deadline,
@@ -45,6 +51,7 @@ from repro.faults import (
 )
 from repro.obs.metrics import get_registry
 from repro.parallel.pool import WorkerPool
+from repro.plan.program import BoundProgram
 from repro.relational.aggregates import AggregateFunction
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
@@ -81,23 +88,64 @@ def make_relation(rows: int = 240, seed: int = 5) -> Relation:
 
 
 def make_solver(**options) -> PCBoundSolver:
+    """A solver whose fan-out always region-splits (the six disjoint
+    windows are too few cells for ``auto`` to bother)."""
     pcset = build_partition_pcs(make_relation(), ["t"], 6)
-    return PCBoundSolver(pcset,
-                         BoundOptions(check_closure=False, **options))
+    return PCBoundSolver(pcset, BoundOptions(check_closure=False,
+                                             shard_strategy="region",
+                                             **options))
 
 
-def keyed_shard_programs(solver: PCBoundSolver, attribute: str = "v",
-                         shards: int = 3) -> list[tuple]:
+def shard_tasks(solver: PCBoundSolver, attribute: str = "v",
+                shards: int = 3) -> list[tuple]:
+    """Region-shard enumeration tasks, keyed like the solver keys them."""
     sharded = solver.sharded_plan(None, attribute, max_shards=shards)
     assert sharded.is_sharded
     return [(solver.shard_program_key(shard, None, attribute),
-             solver.shard_program(shard, None, attribute))
+             shard.plan.pcset, shard.plan.query.region, shard.plan.strategy,
+             shard.plan.early_stop_depth)
             for shard in sharded]
 
 
-def direct_endpoints(keyed, aggregate):
-    return [(r.lower, r.upper, r.closed)
-            for r in (program.bound(aggregate) for _, program in keyed)]
+def coverings(decompositions) -> list[list]:
+    return [[cell.covering for cell in decomposition.cells]
+            for decomposition in decompositions]
+
+
+def direct_coverings(tasks) -> list[list]:
+    return coverings(CellDecomposer(pcset, strategy, depth).decompose(region)
+                     for _key, pcset, region, strategy, depth in tasks)
+
+
+REGIONS = [None, Predicate.range("t", 0.0, 20.0),
+           Predicate.range("t", 15.0, 40.0)]
+
+
+def aggregate_queries(aggregate) -> list[ContingencyQuery]:
+    attribute = None if aggregate is AggregateFunction.COUNT else "v"
+    return [ContingencyQuery(aggregate, attribute, region)
+            for region in REGIONS]
+
+
+def keyed_queries(analyzer: PCAnalyzer, queries) -> list[tuple]:
+    """``pool.analyze`` entries: (program key, program, query, depth)."""
+    solver = analyzer.solver
+    return [(solver.program_key(query.region, query.attribute),
+             solver.program(query.region, query.attribute), query,
+             solver.resolved_early_stop_depth(query.region, query.attribute))
+            for query in queries]
+
+
+def endpoints(reports) -> list[tuple]:
+    return [(report.lower, report.upper) for report in reports]
+
+
+def fail_every_solve(monkeypatch) -> None:
+    """Make every program solve raise, as a dying backend would."""
+    def broken(program, requests):
+        raise SolverError("injected solve failure")
+
+    monkeypatch.setattr(BoundProgram, "bound_batch", broken)
 
 
 def counter_value(name: str) -> float:
@@ -117,23 +165,23 @@ class TestFaultPlanParsing:
     def test_selectors_fire_deterministically(self):
         plan = parse_faults("delay:worker=0,nth=2,ms=5")
         # nth counts only dispatches matching the other selectors.
-        assert plan.on_dispatch(1, "solve_batch", 0) is None
-        assert plan.on_dispatch(0, "solve_batch", 0) is None  # 1st match
-        assert plan.on_dispatch(0, "solve_batch", 1) == ("delay", 5.0)
-        assert plan.on_dispatch(0, "solve_batch", 2) is None  # count exhausted
+        assert plan.on_dispatch(1, "decompose_batch", 0) is None
+        assert plan.on_dispatch(0, "decompose_batch", 0) is None  # 1st match
+        assert plan.on_dispatch(0, "decompose_batch", 1) == ("delay", 5.0)
+        assert plan.on_dispatch(0, "decompose_batch", 2) is None  # count exhausted
         assert plan.fired() == 1
         plan.reset()
         assert plan.fired() == 0
 
     def test_count_caps_firings(self):
         plan = parse_faults("fail:shard=0,count=2,message=boom")
-        assert plan.on_dispatch(0, "solve_batch", 0) == ("fail", "boom")
-        assert plan.on_dispatch(1, "solve_batch", 0) == ("fail", "boom")
-        assert plan.on_dispatch(2, "solve_batch", 0) is None
+        assert plan.on_dispatch(0, "decompose_batch", 0) == ("fail", "boom")
+        assert plan.on_dispatch(1, "decompose_batch", 0) == ("fail", "boom")
+        assert plan.on_dispatch(2, "decompose_batch", 0) is None
 
     def test_first_matching_clause_wins(self):
         plan = parse_faults("delay:ms=1;kill:worker=0")
-        assert plan.on_dispatch(0, "solve_batch", 0) == ("delay", 1.0)
+        assert plan.on_dispatch(0, "decompose_batch", 0) == ("delay", 1.0)
 
     def test_every_pool_task_kind_is_selectable(self):
         from repro.parallel.pool import TASK_KINDS
@@ -185,12 +233,11 @@ class TestDeadlines:
         assert current_deadline() is None
 
     def test_inline_round_honours_expired_deadline(self):
-        solver = make_solver()
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(make_solver())
         pool = WorkerPool(max_workers=WORKERS, mode="serial")
         with deadline_scope(Deadline(1e-9)):
             with pytest.raises(QueryDeadlineError) as excinfo:
-                pool.solve_programs(keyed, AggregateFunction.SUM)
+                pool.decompose_shards(tasks)
         assert excinfo.value.pending > 0
 
     def test_deferred_admission_respects_query_deadline(self):
@@ -198,7 +245,7 @@ class TestDeadlines:
             capacity=1.0, max_pending=4, max_wait_seconds=30.0))
         cost = QueryCost(units=1.0, aggregate="sum", constraint_count=1,
                          estimated_cells=1, shard_count=1,
-                         strategy="component", program_warm=False,
+                         strategy="region", program_warm=False,
                          pool_warm_hit_rate=0.0)
         blocker = controller.admit(cost)
         started = time.monotonic()
@@ -219,8 +266,8 @@ class TestDeadlines:
 class TestKillRecovery:
     def test_kill_mid_batch_bit_identical_all_aggregates(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:task=1")
-        solver = make_solver()
-        keyed = keyed_shard_programs(solver)
+        analyzer = PCAnalyzer(make_solver().pcset,
+                              options=BoundOptions(check_closure=False))
         retried_before = counter_value("pool.tasks_retried")
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
@@ -229,8 +276,11 @@ class TestKillRecovery:
                 # Re-arm the plan so the first dispatch of *every* round
                 # dies: each aggregate exercises kill -> respawn -> retry.
                 pool.fault_plan.reset()
-                recovered = pool.solve_programs(keyed, aggregate)
-                assert recovered == direct_endpoints(keyed, aggregate)
+                queries = aggregate_queries(aggregate)
+                recovered = pool.analyze("chaos", analyzer,
+                                         keyed_queries(analyzer, queries))
+                assert endpoints(recovered) == \
+                    endpoints(analyzer.analyze(query) for query in queries)
             statistics = pool.statistics
             assert statistics.tasks_retried >= len(ALL_AGGREGATES)
             assert statistics.worker_restarts >= len(ALL_AGGREGATES)
@@ -244,16 +294,15 @@ class TestKillRecovery:
 
     def test_injected_failure_propagates_once(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "fail:task=1,message=chaos-proof")
-        solver = make_solver()
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(make_solver())
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             with pytest.raises(Exception, match="chaos-proof"):
-                pool.solve_programs(keyed, AggregateFunction.COUNT)
+                pool.decompose_shards(tasks)
             # The plan is exhausted: the next round is clean and serial-
             # identical — an injected error never sticks to the pool.
-            assert pool.solve_programs(keyed, AggregateFunction.COUNT) == \
-                direct_endpoints(keyed, AggregateFunction.COUNT)
+            assert coverings(pool.decompose_shards(tasks)) == \
+                direct_coverings(tasks)
         finally:
             pool.shutdown()
 
@@ -263,19 +312,18 @@ class TestKillRecovery:
         # deadline, which abandons the round with partial progress instead
         # of hanging forever.
         monkeypatch.setenv(FAULTS_ENV, "drop_reply:task=1")
-        solver = make_solver()
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(make_solver())
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             started = time.monotonic()
             with deadline_scope(Deadline(0.75)):
                 with pytest.raises(QueryDeadlineError) as excinfo:
-                    pool.solve_programs(keyed, AggregateFunction.SUM)
+                    pool.decompose_shards(tasks)
             assert time.monotonic() - started < 5.0
             assert excinfo.value.pending >= 1
             # The plan is exhausted; the next round answers clean.
-            assert pool.solve_programs(keyed, AggregateFunction.SUM) == \
-                direct_endpoints(keyed, AggregateFunction.SUM)
+            assert coverings(pool.decompose_shards(tasks)) == \
+                direct_coverings(tasks)
         finally:
             pool.shutdown()
 
@@ -286,13 +334,13 @@ class TestKillRecovery:
 class TestPoisonQuarantine:
     def test_poison_task_quarantined_siblings_survive(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:shard=1,count=2")
-        solver = make_solver()
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(make_solver())
         quarantined_before = counter_value("pool.tasks_quarantined")
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             with pytest.raises(PoisonTaskError) as excinfo:
-                pool.solve_programs(keyed, AggregateFunction.SUM)
+                # One shard per task, so shard 1 is its own (poison) task.
+                pool.decompose_shards(tasks, batch_size=1)
             error = excinfo.value
             assert error.fingerprint is not None
             assert error.fingerprint in str(error)
@@ -302,10 +350,10 @@ class TestPoisonQuarantine:
             statistics = pool.statistics
             assert statistics.tasks_quarantined >= 1
             assert statistics.tasks_retried >= 1
-            # The poison plan is exhausted: the same query now completes
-            # bit-identically to the serial path on the same pool.
-            assert pool.solve_programs(keyed, AggregateFunction.SUM) == \
-                direct_endpoints(keyed, AggregateFunction.SUM)
+            # The poison plan is exhausted: the same round now completes
+            # identically to the serial enumeration on the same pool.
+            assert coverings(pool.decompose_shards(tasks, batch_size=1)) == \
+                direct_coverings(tasks)
         finally:
             pool.shutdown()
         assert counter_value("pool.tasks_quarantined") >= \
@@ -316,20 +364,18 @@ class TestPoisonQuarantine:
         # never touch the narrow one, however the rounds interleave.
         monkeypatch.setenv(FAULTS_ENV, "kill:shard=2,count=2")
         solver = make_solver()
-        wide = keyed_shard_programs(solver, shards=3)
-        narrow = keyed_shard_programs(solver, attribute="t", shards=2)
+        wide = shard_tasks(solver, shards=3)
+        narrow = shard_tasks(solver, attribute="t", shards=2)
         assert len(wide) >= 3 and len(narrow) == 2
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             with ThreadPoolExecutor(max_workers=2) as executor:
-                poisoned = executor.submit(
-                    pool.solve_programs, wide, AggregateFunction.SUM)
-                healthy = executor.submit(
-                    pool.solve_programs, narrow, AggregateFunction.MAX)
+                poisoned = executor.submit(pool.decompose_shards, wide, 1)
+                healthy = executor.submit(pool.decompose_shards, narrow, 1)
                 with pytest.raises(PoisonTaskError):
                     poisoned.result(timeout=60)
-                assert healthy.result(timeout=60) == \
-                    direct_endpoints(narrow, AggregateFunction.MAX)
+                assert coverings(healthy.result(timeout=60)) == \
+                    direct_coverings(narrow)
         finally:
             pool.shutdown()
 
@@ -343,15 +389,14 @@ class TestDeadlineEndToEnd:
         # abandon its in-flight tasks and raise far sooner than the
         # injected delays could ever finish.
         monkeypatch.setenv(FAULTS_ENV, "delay:ms=400,count=99")
-        solver = make_solver()
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(make_solver())
         exceeded_before = counter_value("queries.deadline_exceeded")
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             started = time.monotonic()
             with deadline_scope(Deadline(0.05)):
                 with pytest.raises(QueryDeadlineError) as excinfo:
-                    pool.solve_programs(keyed, AggregateFunction.SUM)
+                    pool.decompose_shards(tasks)
             assert time.monotonic() - started < 1.0
             error = excinfo.value
             assert error.deadline == pytest.approx(0.05)
@@ -386,8 +431,8 @@ class TestDeadlineEndToEnd:
 class TestDegradation:
     def test_worst_case_range_is_superset_for_all_aggregates(self):
         solver = make_solver()
-        keyed = keyed_shard_programs(solver)
-        for _key, program in keyed:
+        for region in REGIONS:
+            program = solver.program(region, "v")
             for aggregate in ALL_AGGREGATES:
                 exact = program.bound(aggregate)
                 worst = program.worst_case_range(aggregate)
@@ -399,23 +444,25 @@ class TestDegradation:
                     assert worst.upper >= exact.upper - 1e-9
 
     def test_poisoned_shard_degrades_to_sound_range(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "kill:shard=0,count=2")
+        """A solve that raises degrades to the program's worst-case range."""
         exact = make_solver().bound(AggregateFunction.SUM, "v")
         degraded_before = counter_value("queries.degraded")
         solver = make_solver(degrade="worst-case", solve_workers=WORKERS)
-        pool = WorkerPool(max_workers=WORKERS, mode="process")
-        solver._worker_pool = pool
-        try:
-            result = solver.bound(AggregateFunction.SUM, "v")
-        finally:
-            pool.shutdown()
+        fail_every_solve(monkeypatch)
+        result = solver.bound(AggregateFunction.SUM, "v")
         # Sound: the degraded range contains the exact one.
         assert result.lower <= exact.lower + 1e-9
         assert result.upper >= exact.upper - 1e-9
-        # And the result says exactly which shard was degraded.
+        # And the result is stamped as degraded...
         assert result.statistics is not None
         assert tuple(result.statistics.degraded_shards) == (0,)
         assert counter_value("queries.degraded") == degraded_before + 1
+        # ...on a copy: the cached decomposition's record stays clean.
+        program = solver.program(None, "v")
+        assert program.decomposition.statistics.degraded_shards == ()
+        # Without the policy the failure surfaces.
+        with pytest.raises(SolverError, match="injected solve failure"):
+            make_solver().bound(AggregateFunction.SUM, "v")
 
     def test_unknown_degrade_policy_rejected(self):
         solver = make_solver(degrade="optimistic", solve_workers=WORKERS)
@@ -436,7 +483,7 @@ class TestServiceFaultTolerance:
         monkeypatch.setenv(FAULTS_ENV, "delay:ms=400,count=99")
         relation, pcset = self.make_scenario()
         options = BoundOptions(check_closure=False, solve_workers=WORKERS,
-                               deadline_seconds=0.05)
+                               shard_strategy="region", deadline_seconds=0.05)
         with ContingencyService(max_workers=WORKERS, pool_mode="process",
                                 default_options=options) as service:
             service.register("chaos", pcset, observed=relation)
@@ -450,14 +497,15 @@ class TestServiceFaultTolerance:
             assert "1 deadline(s) exceeded" in statistics.summary()
 
     def test_service_degraded_report_counted(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "kill:shard=0,count=2")
         relation, pcset = self.make_scenario()
         options = BoundOptions(check_closure=False, solve_workers=WORKERS,
                                degrade="worst-case")
         with ContingencyService(max_workers=WORKERS, pool_mode="process",
                                 default_options=options) as service:
             service.register("chaos", pcset, observed=relation)
-            report = service.analyze("chaos", ContingencyQuery.sum("v"))
+            with monkeypatch.context() as patch:
+                fail_every_solve(patch)
+                report = service.analyze("chaos", ContingencyQuery.sum("v"))
             assert report.degraded_shards == (0,)
             assert "degraded shards" in report.summary()
             # Exact twin for comparison (no pool, no faults): sound
@@ -473,7 +521,8 @@ class TestServiceFaultTolerance:
     def test_pool_fault_counters_reach_service_summary(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:task=1")
         relation, pcset = self.make_scenario()
-        options = BoundOptions(check_closure=False, solve_workers=WORKERS)
+        options = BoundOptions(check_closure=False, solve_workers=WORKERS,
+                               shard_strategy="region")
         with ContingencyService(max_workers=WORKERS, pool_mode="process",
                                 default_options=options) as service:
             service.register("chaos", pcset, observed=relation)

@@ -1,10 +1,10 @@
-"""Unit tests for repro.parallel: sharding, the executor, verification.
+"""Unit tests for repro.parallel: capability gating, handoff, verification.
 
 The randomized harness (test_property_soundness) pins the end-to-end
-equivalences; these tests pin the pieces — the overlap-graph partition, the
-shard merge algebra, executor mode selection and capability gating, the
-pickle-safe program handoff, and the cross-backend alarm actually firing
-when a backend is (deliberately) broken.
+equivalences; these tests pin the pieces — the batch executor's
+process-safety gate, the pickle-safe program handoff, and the
+cross-backend alarm actually firing when a backend is (deliberately)
+broken.
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ from repro.core.constraints import (
 )
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
-from repro.core.ranges import ResultRange
-from repro.exceptions import DisjointRangeError, SolverError
-from repro.parallel import (
-    SolveExecutor,
-    merge_shard_ranges,
-    partition_constraint_indices,
-    shard_plan,
-)
-from repro.plan.ir import BoundQuery, build_plan
+from repro.exceptions import DisjointRangeError
 from repro.relational.aggregates import AggregateFunction
 from repro.service import ContingencyService
 from repro.solvers.lp import LPSolution, SolutionStatus
@@ -45,11 +37,10 @@ def pc(predicate, lo, hi, name, value_range=(0.0, 10.0)):
                                FrequencyConstraint(lo, hi), name=name)
 
 
-def windows_pcset(count: int = 6, mandatory: bool = False
-                  ) -> PredicateConstraintSet:
-    """``count`` disjoint unit windows over ``t`` (each its own component)."""
+def windows_pcset(count: int = 6) -> PredicateConstraintSet:
+    """``count`` disjoint unit windows over ``t``."""
     constraints = [pc(Predicate.range("t", float(i), i + 0.999),
-                      5 if mandatory else 0, 10 + i, f"w{i}",
+                      0, 10 + i, f"w{i}",
                       value_range=(float(i), float(i + 10)))
                    for i in range(count)]
     pcset = PredicateConstraintSet(constraints)
@@ -58,7 +49,7 @@ def windows_pcset(count: int = 6, mandatory: bool = False
 
 
 def chained_pcset() -> PredicateConstraintSet:
-    """Two overlap components: {a, b} (chained) and {c} (isolated)."""
+    """Two chained windows {a, b} and an isolated one {c}."""
     return PredicateConstraintSet([
         pc(Predicate.range("t", 0, 2), 0, 10, "a"),
         pc(Predicate.range("t", 1, 3), 0, 10, "b"),
@@ -67,131 +58,9 @@ def chained_pcset() -> PredicateConstraintSet:
 
 
 # --------------------------------------------------------------------- #
-# Overlap-graph partitioning
+# Batch executor capability gate
 # --------------------------------------------------------------------- #
-class TestPartitioning:
-    def test_disjoint_set_splits_into_singletons(self):
-        components = partition_constraint_indices(windows_pcset(5))
-        assert components == [(0,), (1,), (2,), (3,), (4,)]
-
-    def test_overlap_chain_forms_one_component(self):
-        components = partition_constraint_indices(chained_pcset())
-        assert components == [(0, 1), (2,)]
-
-    def test_empty_set(self):
-        assert partition_constraint_indices(PredicateConstraintSet()) == []
-
-    def test_shard_plan_groups_respect_max_shards(self):
-        plan = build_plan(BoundQuery(AggregateFunction.COUNT), windows_pcset(6))
-        sharded = shard_plan(plan, max_shards=2)
-        assert len(sharded) == 2 and sharded.is_sharded
-        merged_indices = sorted(index for shard in sharded
-                                for index in shard.indices)
-        assert merged_indices == list(range(6))
-        # Balanced: 6 singleton components over 2 bins -> 3 + 3.
-        assert sorted(len(shard.indices) for shard in sharded) == [3, 3]
-
-    def test_single_component_plan_is_not_sharded(self):
-        pcset = PredicateConstraintSet([
-            pc(Predicate.range("t", 0, 2), 0, 10, "a"),
-            pc(Predicate.range("t", 1, 3), 0, 10, "b"),
-        ])
-        plan = build_plan(BoundQuery(AggregateFunction.COUNT), pcset)
-        sharded = shard_plan(plan)
-        assert len(sharded) == 1 and not sharded.is_sharded
-
-    def test_shard_cache_tokens_are_distinct(self):
-        plan = build_plan(BoundQuery(AggregateFunction.COUNT), windows_pcset(4))
-        sharded = shard_plan(plan, max_shards=4)
-        tokens = {shard.cache_token() for shard in sharded}
-        assert len(tokens) == len(sharded)
-
-    def test_invalid_max_shards_rejected(self):
-        plan = build_plan(BoundQuery(AggregateFunction.COUNT), windows_pcset(3))
-        with pytest.raises(SolverError):
-            shard_plan(plan, max_shards=0)
-
-
-# --------------------------------------------------------------------- #
-# Merge algebra
-# --------------------------------------------------------------------- #
-class TestMergeShardRanges:
-    def test_count_and_sum_add(self):
-        merged = merge_shard_ranges(AggregateFunction.COUNT, [
-            ResultRange(1.0, 5.0), ResultRange(2.0, 7.0)])
-        assert (merged.lower, merged.upper) == (3.0, 12.0)
-
-    def test_max_takes_extrema_and_ignores_empty_shards(self):
-        merged = merge_shard_ranges(AggregateFunction.MAX, [
-            ResultRange(None, 9.0), ResultRange(4.0, 6.0),
-            ResultRange(None, None)], attribute="v")
-        assert (merged.lower, merged.upper) == (4.0, 9.0)
-
-    def test_min_takes_extrema(self):
-        merged = merge_shard_ranges(AggregateFunction.MIN, [
-            ResultRange(1.0, None), ResultRange(3.0, 8.0)], attribute="v")
-        assert (merged.lower, merged.upper) == (1.0, 8.0)
-
-    def test_all_empty_shards_stay_undefined(self):
-        merged = merge_shard_ranges(AggregateFunction.MAX, [
-            ResultRange(None, None), ResultRange(None, None)])
-        assert (merged.lower, merged.upper) == (None, None)
-
-    def test_avg_is_rejected(self):
-        with pytest.raises(SolverError):
-            merge_shard_ranges(AggregateFunction.AVG, [ResultRange(0.0, 1.0)])
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(SolverError):
-            merge_shard_ranges(AggregateFunction.COUNT, [])
-
-    def test_sharded_bound_carries_merged_statistics(self):
-        """The sharded path stays observable: statistics are summed, not
-        dropped (serial ranges carry the decomposition statistics too)."""
-        sharded = PCBoundSolver(windows_pcset(4), BoundOptions(
-            check_closure=False, solve_workers=2))
-        result = sharded.bound(AggregateFunction.COUNT)
-        assert result.statistics is not None
-        plan = sharded.sharded_plan(None, None)
-        per_shard = [sharded.shard_program(shard, None, None)
-                     .decomposition.statistics for shard in plan]
-        assert result.statistics.solver_calls == \
-            sum(statistics.solver_calls for statistics in per_shard)
-        assert result.statistics.satisfiable_cells == \
-            sum(statistics.satisfiable_cells for statistics in per_shard)
-
-
-# --------------------------------------------------------------------- #
-# Executor
-# --------------------------------------------------------------------- #
-class TestSolveExecutor:
-    def test_serial_and_thread_map_preserve_order(self):
-        for mode in ("serial", "thread"):
-            with SolveExecutor(max_workers=4, mode=mode) as executor:
-                assert executor.map(lambda x: x * x, range(8)) == \
-                    [x * x for x in range(8)]
-
-    def test_width_one_degrades_to_serial(self):
-        executor = SolveExecutor(max_workers=1, mode="thread")
-        assert executor.mode == "serial"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SolverError):
-            SolveExecutor(mode="fibers")
-
-    def test_process_mode_gated_on_capability_flag(self):
-        register_backend(
-            "test-native-handle",
-            lambda model, time_limit=None: None,
-            replace=True,
-            capabilities=BackendCapabilities(process_safe=False))
-        with pytest.raises(SolverError, match="not process-safe"):
-            SolveExecutor(max_workers=2, mode="process",
-                          backend="test-native-handle")
-        # Thread mode stays available for the same backend.
-        SolveExecutor(max_workers=2, mode="thread",
-                      backend="test-native-handle")
-
+class TestBatchCapabilityGate:
     def test_batch_process_mode_honours_capability_gate(self):
         """A process-mode batch falls back to the thread pool on a
         process-unsafe backend instead of crashing inside a worker."""
@@ -213,19 +82,6 @@ class TestSolveExecutor:
             check_closure=False)).analyze(ContingencyQuery.count())
         assert result.reports[0].lower == baseline.lower
         assert result.reports[0].upper == baseline.upper
-
-    def test_solve_programs_matches_direct_bounds(self):
-        solver = PCBoundSolver(windows_pcset(4),
-                               BoundOptions(check_closure=False))
-        sharded = solver.sharded_plan(None, "v", max_shards=2)
-        programs = [solver.shard_program(shard, None, "v")
-                    for shard in sharded]
-        with SolveExecutor(max_workers=2, mode="thread") as executor:
-            endpoints = executor.solve_programs(programs,
-                                                AggregateFunction.SUM)
-        direct = [program.bound(AggregateFunction.SUM)
-                  for program in programs]
-        assert endpoints == [(r.lower, r.upper, r.closed) for r in direct]
 
 
 # --------------------------------------------------------------------- #

@@ -9,8 +9,8 @@ aggregate, and asserts the contract on each execution path the parallel
 fan-out work introduced:
 
 * the serial compiled-program pipeline (the baseline),
-* the sharded fan-out path (``solve_workers > 1``) — which additionally
-  must return ranges *identical* to serial on exact enumeration,
+* the fan-out path (``solve_workers > 1``) — which additionally must
+  return ranges *bit-identical* to serial on exact enumeration,
 * the service batch executor (thread fan-out through the caches),
 * the cross-backend verification path (ranges intersected across two
   backends must still contain the truth and equal the serial range).
@@ -116,7 +116,13 @@ def assert_same_range(first, second, query, label: str) -> None:
     _assert_endpoint(first.upper, second.upper, detail)
 
 
-@pytest.mark.parametrize("seed", [101, 202])
+def assert_identical_range(first, second, query, label: str) -> None:
+    """Bit-identical endpoints: every fan-out solves the serial program."""
+    assert (first.lower, first.upper) == (second.lower, second.upper), (
+        label, query.describe(), str(first), str(second))
+
+
+@pytest.mark.parametrize("seed", [101, 202, 303])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_serial_and_sharded_ranges_sound_and_identical(seed, kind):
     """Truth ∈ range on the serial and sharded paths, and the paths agree."""
@@ -131,8 +137,8 @@ def test_serial_and_sharded_ranges_sound_and_identical(seed, kind):
                                       query.region)
         assert_contains(serial_range, truth, query, "serial")
         assert_contains(sharded_range, truth, query, "sharded")
-        assert_same_range(serial_range, sharded_range, query,
-                          "sharded vs serial")
+        assert_identical_range(serial_range, sharded_range, query,
+                               "sharded vs serial")
 
 
 @pytest.mark.parametrize("seed", [303])
@@ -150,8 +156,9 @@ def test_combined_ranges_contain_full_relation_truth(seed, kind):
         parallel_report = parallel_analyzer.analyze(query)
         assert_contains(parallel_report.result_range, truth, query,
                         "sharded analyze")
-        assert_same_range(report.result_range, parallel_report.result_range,
-                          query, "sharded analyze vs serial")
+        assert_identical_range(report.result_range,
+                               parallel_report.result_range, query,
+                               "sharded analyze vs serial")
 
 
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping"])
@@ -199,10 +206,9 @@ def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
     """AVG on a sharded solver equals AVG on a serial one, and contains
     the truth.
 
-    AVG is the one aggregate whose bounds do not merge from independent
-    shard ranges: the parametric search couples every cell through one
-    shared λ.  So a ``solve_workers=3`` solver runs AVG on the serial
-    program, and its range must equal the serial solver's exactly.
+    The parametric search couples every cell through one shared λ, and a
+    ``solve_workers=3`` solver runs it on the serial program, so its range
+    must equal the serial solver's exactly.
     Covered regimes: no observed partition (the floored search), an
     observed partition (``known_count > 0``), and randomized regions.
     """
@@ -218,8 +224,8 @@ def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
         serial_range = serial.bound(AggregateFunction.AVG, "v", region)
         sharded_range = sharded.bound(AggregateFunction.AVG, "v", region)
         assert_contains(sharded_range, truth, query, "sharded AVG")
-        assert_same_range(serial_range, sharded_range, query,
-                          "sharded AVG vs serial")
+        assert_identical_range(serial_range, sharded_range, query,
+                               "sharded AVG vs serial")
     # With an observed partition the search carries (known_sum, known_count)
     # — the unfloored regime, whose certified endpoint divides by
     # known_count rather than by the floor row's 1.
@@ -234,9 +240,9 @@ def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
         sharded_report = sharded_analyzer.analyze(query)
         assert_contains(sharded_report.result_range, truth, query,
                         "sharded AVG analyze")
-        assert_same_range(serial_report.result_range,
-                          sharded_report.result_range, query,
-                          "sharded AVG analyze vs serial")
+        assert_identical_range(serial_report.result_range,
+                               sharded_report.result_range, query,
+                               "sharded AVG analyze vs serial")
 
 
 def test_sharded_avg_through_process_pool_matches_serial():
@@ -253,54 +259,42 @@ def test_sharded_avg_through_process_pool_matches_serial():
         serial_range = serial.bound(AggregateFunction.AVG, "v")
         pooled_range = sharded.bound(AggregateFunction.AVG, "v")
         assert_contains(pooled_range, truth, query, "process-pool AVG")
-        assert_same_range(serial_range, pooled_range, query,
-                          "process-pool AVG vs serial")
+        assert_identical_range(serial_range, pooled_range, query,
+                               "process-pool AVG vs serial")
 
 
 @pytest.mark.parametrize("seed", [111, 222])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
-def test_region_sharded_matches_component_sharded_and_serial(seed, kind):
-    """Region-sharded == constraint-sharded == serial, truth inside all three.
+def test_region_sharded_matches_serial(seed, kind):
+    """Region-sharded == serial, truth inside both.
 
     The region splitter's contract is *identity*: its shards merge at the
-    cell level into the serial program, so every aggregate — AVG included —
-    must return the serial range bit-for-bit.  The overlapping scenarios
-    are the ones component splitting cannot shard (one overlap component),
-    i.e. exactly the regime region splitting was built for; on disjoint
-    scenarios the region preference defers to component splitting, so the
-    equality chain also pins that hand-off.
+    cell level, in serial cell order, into the serial program, so every
+    aggregate — AVG included — must return the serial range bit-for-bit.
     """
     _, _, missing, pcset, queries = scenario(seed, kind)
     serial = PCBoundSolver(pcset, BoundOptions())
-    component = PCBoundSolver(pcset, BoundOptions(
-        solve_workers=3, shard_strategy="component"))
     region = PCBoundSolver(pcset, BoundOptions(
         solve_workers=3, shard_strategy="region"))
     for query in queries:
         truth = query.ground_truth(missing)
         serial_range = serial.bound(query.aggregate, query.attribute,
                                     query.region)
-        component_range = component.bound(query.aggregate, query.attribute,
-                                          query.region)
         region_range = region.bound(query.aggregate, query.attribute,
                                     query.region)
         assert_contains(serial_range, truth, query, "serial")
-        assert_contains(component_range, truth, query, "component-sharded")
         assert_contains(region_range, truth, query, "region-sharded")
-        assert_same_range(serial_range, component_range, query,
-                          "component-sharded vs serial")
-        assert_same_range(serial_range, region_range, query,
-                          "region-sharded vs serial")
+        assert_identical_range(serial_range, region_range, query,
+                               "region-sharded vs serial")
 
 
 def test_region_sharding_engages_on_one_component_sets():
     """The acceptance scenario: a one-component set actually fans out.
 
-    Component splitting cannot shard the overlapping scenario (one overlap
-    component), so before this PR it solved serially no matter how many
-    workers were requested; the region splitter must produce >= 2 shards,
-    dispatch their enumerations to the worker pool, and still return serial
-    ranges for every aggregate.
+    The overlapping scenario's predicates form one overlap component; the
+    region splitter must still produce >= 2 shards, dispatch their
+    enumerations to the worker pool, and return serial ranges for every
+    aggregate.
     """
     from repro.parallel.pool import WorkerPool
 
@@ -312,9 +306,6 @@ def test_region_sharding_engages_on_one_component_sets():
             solve_workers=3, shard_strategy="region"), worker_pool=pool)
         sharded = region.sharded_plan(None, "v")
         assert sharded.strategy == "region" and len(sharded) >= 2
-        # Component splitting really cannot shard this set (one component).
-        from repro.plan.sharding import shard_plan
-        assert not shard_plan(sharded.parent).is_sharded
         before = pool.statistics.tasks_dispatched
         for aggregate, attribute in AGGREGATES:
             query = ContingencyQuery(aggregate, attribute, None)
@@ -322,8 +313,8 @@ def test_region_sharding_engages_on_one_component_sets():
             serial_range = serial.bound(aggregate, attribute)
             region_range = region.bound(aggregate, attribute)
             assert_contains(region_range, truth, query, "region acceptance")
-            assert_same_range(serial_range, region_range, query,
-                              "region acceptance vs serial")
+            assert_identical_range(serial_range, region_range, query,
+                                   "region acceptance vs serial")
         assert pool.statistics.tasks_dispatched >= before + 2
 
 
@@ -455,10 +446,10 @@ def test_batched_solves_identical_to_unbatched(seed, kind, monkeypatch):
 def test_batched_process_pool_matches_serial(monkeypatch):
     """Batched task kinds through real process workers == serial ranges.
 
-    Covers solve_batch (sharded COUNT/SUM/MIN/MAX) and the batched region
-    decomposition against a per-cell serial baseline (per-request
-    ``program.bound``) on the same constraint set, plus AVG, which a pooled
-    solver runs on the serial program and must answer bit-identically.
+    Covers the batched region decomposition against a per-cell serial
+    baseline (per-request ``program.bound``) on the same constraint set,
+    plus AVG; a pooled solver runs every aggregate on the serial program
+    and must answer bit-identically.
     """
     from repro.parallel.pool import WorkerPool
 
@@ -474,15 +465,15 @@ def test_batched_process_pool_matches_serial(monkeypatch):
             truth = query.ground_truth(missing)
             assert_contains(result, truth, query, "serial baseline")
     with WorkerPool(max_workers=3, mode="process", name="batch-test") as pool:
-        sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3),
-                                worker_pool=pool)
+        sharded = PCBoundSolver(pcset, BoundOptions(
+            solve_workers=3, shard_strategy="region"), worker_pool=pool)
         for query in queries:
             pooled = sharded.bound(query.aggregate, query.attribute,
                                    query.region)
-            assert_same_range(baseline[id(query)], pooled, query,
-                              "batched process pool vs serial")
+            assert_identical_range(baseline[id(query)], pooled, query,
+                                   "batched process pool vs serial")
         avg = ContingencyQuery.avg("v", None)
         pooled = sharded.bound(AggregateFunction.AVG, "v", None)
-        assert_same_range(serial.bound(AggregateFunction.AVG, "v", None),
-                          pooled, avg, "batched process AVG vs serial")
+        assert_identical_range(serial.bound(AggregateFunction.AVG, "v", None),
+                               pooled, avg, "batched process AVG vs serial")
         assert pool.statistics.cells_solved >= pool.statistics.tasks_shipped

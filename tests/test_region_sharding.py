@@ -4,8 +4,8 @@ The randomized harness (test_property_soundness) pins the end-to-end range
 equalities; these tests pin the pass itself — strategy selection and its
 preference/density gates, the region splitter's partition-attribute and
 cut-point choices, sub-region coverage, the cell-union merge equalling the
-serial enumeration under every knob, cache-token separation, and the
-worker pool's decompose fan-out.
+serial enumeration (cell for cell, in serial order) under every knob,
+cache-token separation, and the worker pool's decompose fan-out.
 """
 
 from __future__ import annotations
@@ -24,11 +24,9 @@ from repro.core.predicates import Predicate
 from repro.exceptions import SolverError
 from repro.plan.ir import BoundQuery, build_plan
 from repro.plan.sharding import (
-    ConstraintComponentSharding,
     RegionSharding,
     merge_shard_decompositions,
     select_sharding,
-    shard_plan,
 )
 from repro.relational.aggregates import AggregateFunction
 
@@ -66,24 +64,17 @@ def plan_for(pcset, shard_strategy="auto", region=None, attribute="v"):
 # Strategy selection
 # --------------------------------------------------------------------- #
 class TestSelectSharding:
-    def test_component_wins_when_graph_shards(self):
-        for preference in ("auto", "region", "component"):
-            sharded = select_sharding(plan_for(disjoint_pcset(), preference),
-                                      max_shards=3)
-            assert sharded.strategy == "component"
-            assert sharded.is_sharded and len(sharded) == 3
+    def test_disjoint_set_region_shards_under_region_preference(self):
+        sharded = select_sharding(plan_for(disjoint_pcset(), "region"),
+                                  max_shards=3)
+        assert sharded.strategy == "region"
+        assert sharded.is_sharded and len(sharded) == 3
 
     def test_one_component_under_region_preference_region_shards(self):
         sharded = select_sharding(plan_for(chain_pcset(), "region"),
                                   max_shards=3)
         assert sharded.strategy == "region"
         assert sharded.is_sharded and len(sharded) == 3
-
-    def test_component_preference_never_region_shards(self):
-        sharded = select_sharding(plan_for(chain_pcset(), "component"),
-                                  max_shards=3)
-        assert sharded.strategy == "component"
-        assert not sharded.is_sharded
 
     def test_auto_gates_region_on_estimated_cells(self):
         # Two chained constraints: worst case 3 cells < the gate.
@@ -99,12 +90,9 @@ class TestSelectSharding:
         assert sharded.strategy == "region" and sharded.is_sharded
 
     def test_unknown_preference_rejected(self):
-        with pytest.raises(SolverError):
-            select_sharding(plan_for(chain_pcset(), "quantum"))
-
-    def test_shard_plan_compat_entry_point_is_component(self):
-        sharded = shard_plan(plan_for(chain_pcset(), "region"), max_shards=3)
-        assert sharded.strategy == "component" and not sharded.is_sharded
+        for preference in ("quantum", "component"):
+            with pytest.raises(SolverError):
+                select_sharding(plan_for(chain_pcset(), preference))
 
 
 # --------------------------------------------------------------------- #
@@ -161,14 +149,11 @@ class TestRegionSplitter:
             plan_for(chain_pcset(), "region", region=region), max_shards=3)
         assert len(sharded) <= 3
 
-    def test_cache_tokens_distinguish_region_from_component(self):
-        plan = plan_for(chain_pcset(), "region")
-        region_sharded = RegionSharding().split(plan, max_shards=2)
-        component_sharded = ConstraintComponentSharding().split(
-            plan_for(disjoint_pcset(2), "auto"), max_shards=2)
-        tokens = {shard.cache_token() for shard in region_sharded}
-        tokens |= {shard.cache_token() for shard in component_sharded}
-        assert len(tokens) == len(region_sharded) + len(component_sharded)
+    def test_cache_tokens_are_distinct_per_shard(self):
+        sharded = RegionSharding().split(plan_for(chain_pcset(), "region"),
+                                         max_shards=3)
+        tokens = {shard.cache_token() for shard in sharded}
+        assert len(tokens) == len(sharded) == 3
 
     def test_invalid_max_shards_rejected(self):
         with pytest.raises(SolverError):
@@ -189,7 +174,7 @@ class TestMergeShardDecompositions:
     @pytest.mark.parametrize("strategy", [DecompositionStrategy.DFS_REWRITE,
                                           DecompositionStrategy.DFS,
                                           DecompositionStrategy.NAIVE])
-    @pytest.mark.parametrize("depth", [None, 2])
+    @pytest.mark.parametrize("depth", [None, 1, 2, 3])
     def test_union_equals_serial_cells(self, strategy, depth):
         pcset = chain_pcset(5)
         plan = plan_for(pcset, "region").amended(strategy=strategy,
@@ -200,9 +185,12 @@ class TestMergeShardDecompositions:
         per_shard = [CellDecomposer(shard.plan.pcset, strategy, depth)
                      .decompose(shard.plan.query.region)
                      for shard in sharded]
-        merged = merge_shard_decompositions(plan, per_shard)
-        assert ({cell.covering for cell in merged.cells}
-                == {cell.covering for cell in serial.cells})
+        # Reversed: the union must not depend on shard completion order.
+        merged = merge_shard_decompositions(plan, per_shard[::-1])
+        # Serial order, not just the serial set: the program compiled over
+        # the merged cells gets its columns in the serial order too.
+        assert ([cell.covering for cell in merged.cells]
+                == [cell.covering for cell in serial.cells])
         assert merged.statistics.satisfiable_cells == len(serial.cells)
         assert merged.statistics.num_constraints == len(pcset)
 

@@ -67,7 +67,6 @@ class TestPoolBatchTraffic:
         from repro.core.predicates import Predicate
         from repro.obs.trace import get_tracer
         from repro.parallel.pool import WorkerPool
-        from repro.relational.aggregates import AggregateFunction
 
         from test_property_soundness import scenario
 
@@ -80,8 +79,6 @@ class TestPoolBatchTraffic:
         shard_tasks = [(f"shard-{index}", pcset, region,
                         DecompositionStrategy.DFS_REWRITE, None)
                        for index, region in enumerate(regions)]
-        keyed_programs = [(solver.program_key(region, "v"),
-                           solver.program(region, "v")) for region in regions]
         keyed_queries = [
             (solver.program_key(query.region, query.attribute),
              solver.program(query.region, query.attribute), query,
@@ -94,8 +91,6 @@ class TestPoolBatchTraffic:
             with tracer.trace("round", force=True) as trace:
                 decompositions = pool.decompose_shards(shard_tasks)
                 reports = pool.analyze("batch-only", analyzer, keyed_queries)
-                endpoints = pool.solve_programs(keyed_programs,
-                                                AggregateFunction.SUM)
 
         coordinator = f"{os.getpid():x}-"
         spans = list(trace)
@@ -106,7 +101,7 @@ class TestPoolBatchTraffic:
         # Session registration is the only non-work task a round may ship.
         work = [span.name for span in roots if span.name != "pool.register"]
         assert sorted(work) == ["pool.analyze_batch"] * 2 + \
-            ["pool.decompose_batch"] * 2 + ["pool.solve_batch"] * 2
+            ["pool.decompose_batch"] * 2
         children = [span for span in spans if span.name == "pool.decompose"]
         assert sorted(span.attributes["shard"] for span in children) == [0, 1]
 
@@ -118,9 +113,6 @@ class TestPoolBatchTraffic:
         for query, report in zip(queries, reports):
             want = analyzer.analyze(query)
             assert (report.lower, report.upper) == (want.lower, want.upper)
-        for (_key, program), got in zip(keyed_programs, endpoints):
-            want = program.bound(AggregateFunction.SUM)
-            assert got == (want.lower, want.upper, want.closed)
 
 
 class TestAdmissionInversion:
@@ -207,9 +199,9 @@ class TestProfileBatchAccounting:
                 for shard in (0, 1) for i in range(10)]))
         batched = QueryProfile(trace_id="t2", root=self._node(
             "bound", 1.0, children=[
-                self._node("pool.solve_batch",
+                self._node("pool.decompose_batch",
                            1.0, {"shard": 0, "cells": 10}),
-                self._node("pool.solve_batch",
+                self._node("pool.decompose_batch",
                            1.0, {"shard": 1, "cells": 10})]))
         assert len(tasked.shard_times()) == 2
         assert len(batched.shard_times()) == 2
@@ -224,8 +216,10 @@ class TestProfileBatchAccounting:
 
         profile = QueryProfile(trace_id="t3", root=self._node(
             "bound", 1.0, children=[
-                self._node("pool.solve_batch", 0.5, {"shard": 0, "cells": 30}),
-                self._node("pool.solve_batch", 0.5, {"shard": 1, "cells": 10}),
+                self._node("pool.decompose_batch", 0.5,
+                           {"shard": 0, "cells": 30}),
+                self._node("pool.decompose_batch", 0.5,
+                           {"shard": 1, "cells": 10}),
             ]))
         assert profile.shard_cell_skew() == pytest.approx(30 / 20)
 
@@ -234,9 +228,9 @@ class TestProfileBatchAccounting:
 
         profile = QueryProfile(trace_id="t4", root=self._node(
             "bound", 1.0, children=[
-                self._node("pool.solve_batch", 0.2, {"cells": 4}),
+                self._node("pool.analyze_batch", 0.2, {"cells": 4}),
                 self._node("pool.decompose_batch", 0.2, {"cells": 6}),
-                self._node("pool.solve", 0.2, {}),
+                self._node("pool.decompose", 0.2, {}),
             ]))
         counts = profile.batch_counts()
         assert counts == {"batched_tasks": 2.0, "batched_cells": 10.0}

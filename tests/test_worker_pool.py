@@ -7,7 +7,7 @@ The pool's contract has three legs the soundness harness cannot see:
 * **affinity** — a program key is pinned to one worker, so its warm cache
   is actually reused (observable as warm hits without program re-ships);
 * **equivalence** — every mode (serial / thread / process) returns the
-  endpoints and reports the direct in-process calls produce.
+  decompositions and reports the direct in-process calls produce.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.bounds import BoundOptions, PCBoundSolver
 from repro.core.builders import build_partition_pcs
+from repro.core.cells import CellDecomposer
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.predicates import Predicate
 from repro.exceptions import SolverError
@@ -47,51 +48,90 @@ def make_relation(rows: int = 240, seed: int = 5) -> Relation:
                               name="pool-test")
 
 
-def keyed_shard_programs(solver: PCBoundSolver, attribute: str = "v",
-                         shards: int = 3) -> list[tuple]:
+def shard_tasks(solver: PCBoundSolver, attribute: str = "v",
+                shards: int = 3) -> list[tuple]:
+    """Self-contained region-shard enumeration tasks, keyed like the solver
+    keys them: ``(key, pcset, region, strategy, early_stop_depth)``."""
     sharded = solver.sharded_plan(None, attribute, max_shards=shards)
     assert sharded.is_sharded
     return [(solver.shard_program_key(shard, None, attribute),
-             solver.shard_program(shard, None, attribute))
+             shard.plan.pcset, shard.plan.query.region, shard.plan.strategy,
+             shard.plan.early_stop_depth)
             for shard in sharded]
+
+
+def coverings(decompositions) -> list[list]:
+    return [[cell.covering for cell in decomposition.cells]
+            for decomposition in decompositions]
+
+
+def direct_coverings(tasks) -> list[list]:
+    """The reference: each task enumerated in-process."""
+    return coverings(CellDecomposer(pcset, strategy, depth).decompose(region)
+                     for _key, pcset, region, strategy, depth in tasks)
 
 
 @pytest.fixture
 def solver() -> PCBoundSolver:
     pcset = build_partition_pcs(make_relation(), ["t"], 6)
-    return PCBoundSolver(pcset, BoundOptions(check_closure=False))
+    return PCBoundSolver(pcset, BoundOptions(check_closure=False,
+                                             shard_strategy="region"))
 
 
-def direct_endpoints(keyed, aggregate):
-    return [(r.lower, r.upper, r.closed)
-            for r in (program.bound(aggregate) for _, program in keyed)]
+def keyed_queries(analyzer: PCAnalyzer, queries) -> list[tuple]:
+    """``pool.analyze`` entries: (program key, program, query, depth)."""
+    solver = analyzer.solver
+    return [(solver.program_key(query.region, query.attribute),
+             solver.program(query.region, query.attribute), query,
+             solver.resolved_early_stop_depth(query.region, query.attribute))
+            for query in queries]
+
+
+def window_queries(maker=ContingencyQuery.sum, count: int = 4) -> list:
+    """One query per distinct region, so every entry has its own program."""
+    attribute = () if maker == ContingencyQuery.count else ("v",)
+    return [maker(*attribute, Predicate.range("t", 8.0 * i, 8.0 * i + 12.0))
+            for i in range(count)]
+
+
+def endpoints(reports) -> list[tuple]:
+    return [(report.lower, report.upper) for report in reports]
+
+
+def direct_endpoints(analyzer: PCAnalyzer, queries) -> list[tuple]:
+    return endpoints(analyzer.analyze(query) for query in queries)
+
+
+@pytest.fixture
+def analyzer(solver) -> PCAnalyzer:
+    return PCAnalyzer(solver.pcset, options=BoundOptions(check_closure=False))
 
 
 class TestLifecycle:
     def test_shutdown_is_idempotent_and_context_managed(self, solver):
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(solver)
         with WorkerPool(max_workers=WORKERS, mode="process") as pool:
-            endpoints = pool.solve_programs(keyed, AggregateFunction.SUM)
-            assert endpoints == direct_endpoints(keyed, AggregateFunction.SUM)
+            results = pool.decompose_shards(tasks)
+            assert coverings(results) == direct_coverings(tasks)
             assert pool.alive_workers() == WORKERS
         assert pool.alive_workers() == 0
         pool.shutdown()  # second shutdown: no-op, no error
         pool.shutdown()
 
     def test_pool_restarts_lazily_after_shutdown(self, solver):
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(solver)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
-        first = pool.solve_programs(keyed, AggregateFunction.COUNT)
+        first = coverings(pool.decompose_shards(tasks))
         pool.shutdown()
         assert pool.alive_workers() == 0
-        second = pool.solve_programs(keyed, AggregateFunction.COUNT)
+        second = coverings(pool.decompose_shards(tasks))
         assert first == second
         pool.shutdown()
 
     def test_restart_bounces_workers(self, solver):
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(solver)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
-        pool.solve_programs(keyed, AggregateFunction.SUM)
+        pool.decompose_shards(tasks)
         pids = set(pool.worker_pids())
         pool.restart()
         assert pool.alive_workers() == WORKERS
@@ -99,31 +139,36 @@ class TestLifecycle:
         pool.shutdown()
 
     def test_killed_worker_is_respawned_and_round_completes(self, solver):
-        keyed = keyed_shard_programs(solver)
+        tasks = shard_tasks(solver)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
-            baseline = pool.solve_programs(keyed, AggregateFunction.SUM)
+            baseline = coverings(pool.decompose_shards(tasks))
             victim = pool.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             time.sleep(0.1)
-            recovered = pool.solve_programs(keyed, AggregateFunction.SUM)
+            recovered = coverings(pool.decompose_shards(tasks))
             assert recovered == baseline
             assert pool.statistics.worker_restarts >= 1
             assert pool.alive_workers() == WORKERS
         finally:
             pool.shutdown()
 
-    def test_worker_failure_propagates_as_exception(self, solver):
+    def test_worker_failure_propagates_as_exception(self):
         pool = WorkerPool(max_workers=2, mode="process")
         try:
-            with pytest.raises(SolverError, match="cache miss"):
-                # A bare key with no program: the worker cannot resolve it.
-                request = (AggregateFunction.COUNT, 0.0, 0.0)
+            pool.start()
+            # The parent believes a session is registered that no worker
+            # holds: the worker-side handler raises and the error crosses
+            # the pipe to the caller.
+            for worker in pool._workers:
+                worker.sessions.add("ghost")
+            query = ContingencyQuery.count()
+            with pytest.raises(SolverError, match="no registered session"):
                 pool._locked_round([
-                    ("solve_batch", "no-such-key",
-                     ("no-such-key", None, (request,)), 0),
-                    ("solve_batch", "no-such-key-2",
-                     ("no-such-key-2", None, (request,)), 1)])
+                    ("analyze_batch", "key-a",
+                     ("ghost", "key-a", None, (query,), None), (0,)),
+                    ("analyze_batch", "key-b",
+                     ("ghost", "key-b", None, (query,), None), (1,))])
         finally:
             pool.shutdown()
 
@@ -131,13 +176,13 @@ class TestLifecycle:
         """Rounds far larger than a pipe buffer complete: the in-flight cap
         keeps dispatch and collection interleaved, so a worker can never
         block sending results while the parent blocks sending tasks."""
-        keyed = keyed_shard_programs(solver)
-        big = [keyed[index % len(keyed)] for index in range(4000)]
+        tasks = shard_tasks(solver)
+        big = [tasks[index % len(tasks)] for index in range(4000)]
         with WorkerPool(max_workers=2, mode="process") as pool:
-            endpoints = pool.solve_programs(big, AggregateFunction.MIN)
-        expected = direct_endpoints(keyed, AggregateFunction.MIN)
-        assert endpoints == [expected[index % len(expected)]
-                             for index in range(4000)]
+            results = pool.decompose_shards(big, batch_size=1)
+        expected = direct_coverings(tasks)
+        assert coverings(results) == [expected[index % len(expected)]
+                                      for index in range(4000)]
 
     def test_shared_pools_are_reused_and_reaped(self):
         first = shared_pool(mode="thread", max_workers=WORKERS)
@@ -185,14 +230,19 @@ class TestModesAndFallbacks:
         assert pool.requested_mode == "process"
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_solve_programs_matches_direct_bounds(self, solver, mode):
-        keyed = keyed_shard_programs(solver)
+    def test_pool_matches_direct_calls(self, solver, analyzer, mode):
+        tasks = shard_tasks(solver)
         workers = 1 if mode == "serial" else WORKERS
         with WorkerPool(max_workers=workers, mode=mode) as pool:
-            for aggregate in (AggregateFunction.COUNT, AggregateFunction.SUM,
-                              AggregateFunction.MIN, AggregateFunction.MAX):
-                assert pool.solve_programs(keyed, aggregate) == \
-                    direct_endpoints(keyed, aggregate)
+            assert coverings(pool.decompose_shards(tasks)) == \
+                direct_coverings(tasks)
+            for maker in (ContingencyQuery.count, ContingencyQuery.sum,
+                          ContingencyQuery.min, ContingencyQuery.max):
+                queries = window_queries(maker, count=2)
+                reports = pool.analyze(f"modes-{mode}", analyzer,
+                                       keyed_queries(analyzer, queries))
+                assert endpoints(reports) == \
+                    direct_endpoints(analyzer, queries)
 
 
 class TestAffinityAndWarmCaches:
@@ -206,67 +256,80 @@ class TestAffinityAndWarmCaches:
         assert sorted(first.count(index) for index in range(3)) == [3, 3, 3]
         pool.shutdown()
 
-    def test_warm_cache_hits_skip_program_shipping(self, solver):
-        keyed = keyed_shard_programs(solver)
+    def test_warm_cache_hits_skip_program_shipping(self, analyzer):
+        queries = window_queries()
+        keyed = keyed_queries(analyzer, queries)
+        programs = {key: program for key, program, _, _ in keyed}
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
-            pool.warm(dict(keyed))
+            pool.warm(programs)
             shipped_after_warm = pool.statistics.programs_shipped
-            assert shipped_after_warm == len(keyed)
+            assert shipped_after_warm == len(programs)
             # Warming again is a no-op.
-            pool.warm(dict(keyed))
+            pool.warm(programs)
             assert pool.statistics.programs_shipped == shipped_after_warm
-            # Solves for warmed keys ship no programs: warm hits only.
+            # Queries for warmed keys ship no programs: warm hits only.
             for _ in range(3):
-                pool.solve_programs(keyed, AggregateFunction.SUM)
+                reports = pool.analyze("warm-test", analyzer, keyed)
+                assert endpoints(reports) == \
+                    direct_endpoints(analyzer, queries)
             assert pool.statistics.programs_shipped == shipped_after_warm
             assert pool.statistics.warm_hits >= 3 * len(keyed)
             assert pool.statistics.warm_hit_rate > 0.5
             # Every key is warm on exactly its affinity worker.
-            for key, _ in keyed:
+            for key in programs:
                 assert key in pool.warm_keys_on(pool.worker_for(key))
         finally:
             pool.shutdown()
 
-    def test_worker_lru_eviction_recovers_by_reshipping(self, solver,
+    def test_worker_lru_eviction_recovers_by_reshipping(self, analyzer,
                                                         monkeypatch):
         """Warm-key bookkeeping is advisory: a worker that evicted a
-        program under memory pressure gets it re-shipped, not an error."""
+        program under memory pressure recompiles it, and the answer does
+        not change."""
         import repro.parallel.pool as pool_module
+        from repro.obs.trace import get_tracer
 
         monkeypatch.setattr(pool_module, "_WORKER_CACHE_ENTRIES", 1)
-        keyed = keyed_shard_programs(solver)
+        queries = window_queries()
+        keyed = keyed_queries(analyzer, queries)
+        baseline = direct_endpoints(analyzer, queries)
         # Width 2: each worker holds several keys but caches only one, so
         # round-robin traffic forces evictions on every round.
         pool = WorkerPool(max_workers=2, mode="process")
         try:
-            baseline = direct_endpoints(keyed, AggregateFunction.SUM)
-            first = pool.solve_programs(keyed, AggregateFunction.SUM)
+            first = pool.analyze("lru-test", analyzer, keyed)
             shipped = pool.statistics.programs_shipped
-            second = pool.solve_programs(keyed, AggregateFunction.SUM)
-            assert first == baseline and second == baseline
-            # The second round hit evicted entries: programs were
-            # re-shipped instead of raising WorkerCacheMiss at the caller.
-            assert pool.statistics.programs_shipped > shipped
+            with get_tracer().trace("lru", force=True) as trace:
+                second = pool.analyze("lru-test", analyzer, keyed)
+            assert endpoints(first) == baseline
+            assert endpoints(second) == baseline
+            # The parent still believed every key warm, so nothing was
+            # re-shipped: the evicted programs were compiled worker-side.
+            assert pool.statistics.programs_shipped == shipped
+            assert any(span.name == "compile" for span in trace)
         finally:
             pool.shutdown()
 
-    def test_respawned_worker_is_rewarmed_transparently(self, solver):
-        keyed = keyed_shard_programs(solver)
+    def test_respawned_worker_is_rewarmed_transparently(self, analyzer):
+        queries = window_queries()
+        keyed = keyed_queries(analyzer, queries)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
-            pool.warm(dict(keyed))
-            baseline = pool.solve_programs(keyed, AggregateFunction.SUM)
+            pool.warm({key: program for key, program, _, _ in keyed})
+            baseline = endpoints(pool.analyze("respawn-test", analyzer,
+                                              keyed))
             for pid in pool.worker_pids():
                 os.kill(pid, signal.SIGKILL)
             time.sleep(0.1)
             shipped_before = pool.statistics.programs_shipped
-            recovered = pool.solve_programs(keyed, AggregateFunction.SUM)
+            recovered = endpoints(pool.analyze("respawn-test", analyzer,
+                                               keyed))
             assert recovered == baseline
             # Cold respawned workers were re-shipped their programs.  Only
             # workers with affinity keys had tasks to recover, so only they
             # are guaranteed a respawn.
-            involved = {pool.worker_for(key) for key, _ in keyed}
+            involved = {pool.worker_for(key) for key, _, _, _ in keyed}
             assert pool.statistics.programs_shipped > shipped_before
             assert pool.statistics.worker_restarts >= len(involved)
         finally:
@@ -368,7 +431,8 @@ class TestServiceIntegration:
         pool = WorkerPool(max_workers=WORKERS, mode="process", name="injected")
         try:
             solver = PCBoundSolver(
-                pcset, BoundOptions(check_closure=False, solve_workers=3),
+                pcset, BoundOptions(check_closure=False, solve_workers=3,
+                                    shard_strategy="region"),
                 worker_pool=pool)
             serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
             for aggregate, attribute in [(AggregateFunction.COUNT, None),
@@ -376,10 +440,8 @@ class TestServiceIntegration:
                                          (AggregateFunction.AVG, "v")]:
                 pooled_range = solver.bound(aggregate, attribute)
                 serial_range = serial.bound(aggregate, attribute)
-                assert pooled_range.lower == pytest.approx(serial_range.lower,
-                                                           rel=1e-9)
-                assert pooled_range.upper == pytest.approx(serial_range.upper,
-                                                           rel=1e-9)
+                assert (pooled_range.lower, pooled_range.upper) == \
+                    (serial_range.lower, serial_range.upper)
             assert pool.statistics.tasks_dispatched > 0
         finally:
             pool.shutdown()
