@@ -1,18 +1,17 @@
-"""Walkthrough: region sharding, the persistent worker pool, verification.
+"""Walkthrough: batch fan-out on the persistent worker pool, verification.
 
 Run with::
 
     PYTHONPATH=src python examples/parallel_fanout.py
 
-Builds a chain of overlapping windows (one overlap component, so its cell
-enumeration is the expensive part), shows how the region splitter cuts the
-query region into slices whose enumerations fan out over a worker pool,
-and checks that every aggregate comes back bit-identical to the serial
-path: the slices' cells merge back, in serial order, into the one serial
-program that solves the query.  It then reuses one persistent process pool
-across repeated service batches to show the warm worker caches at work,
-and demonstrates the cross-backend verification oracle, including what the
-alarm looks like when a backend is deliberately broken.
+Builds a chain of overlapping windows (one overlap component, so every
+solve is a coupled MILP), fans a batch of all five aggregates over several
+regions out on a process pool, and checks that every answer comes back
+bit-identical to the serial path: each query is answered by its one
+compiled program, wherever it runs.  It then reuses one persistent
+process pool across repeated service batches to show the warm worker
+caches at work, and demonstrates the cross-backend verification oracle,
+including what the alarm looks like when a backend is deliberately broken.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from repro import (
     BoundOptions,
     ContingencyQuery,
     ContingencyService,
+    PCAnalyzer,
     PCBoundSolver,
     Predicate,
     PredicateConstraintSet,
@@ -71,33 +71,39 @@ def build_scenario():
 
 
 def main() -> None:
-    # --- region sharding ------------------------------------------------
+    # --- batch fan-out == serial ----------------------------------------
+    # Every query, pooled or not, is answered by its one compiled program,
+    # so the process-pool batch must match the serial analyzer exactly.
     chain = chained_windows()
-    serial = PCBoundSolver(chain, BoundOptions(check_closure=False))
-    sharded = PCBoundSolver(chain, BoundOptions(check_closure=False,
-                                                solve_workers=3))
-    plan = sharded.sharded_plan(None, "v")
-    print(plan.describe())
-
-    for aggregate, attribute in [(AggregateFunction.COUNT, None),
-                                 (AggregateFunction.SUM, "v"),
-                                 (AggregateFunction.MIN, "v"),
-                                 (AggregateFunction.MAX, "v"),
-                                 (AggregateFunction.AVG, "v")]:
+    options = BoundOptions(check_closure=False)
+    serial = PCAnalyzer(chain, options=options)
+    regions = [Predicate.range("t", 15.0 * i, 15.0 * i + 40.0)
+               for i in range(3)]
+    makers = [(AggregateFunction.COUNT, lambda r: ContingencyQuery.count(r)),
+              (AggregateFunction.SUM, lambda r: ContingencyQuery.sum("v", r)),
+              (AggregateFunction.MIN, lambda r: ContingencyQuery.min("v", r)),
+              (AggregateFunction.MAX, lambda r: ContingencyQuery.max("v", r)),
+              (AggregateFunction.AVG, lambda r: ContingencyQuery.avg("v", r))]
+    batch_queries = [make(region) for _, make in makers for region in regions]
+    with ContingencyService(max_workers=3, pool_mode="process") as service:
+        service.register("chain", chain, options=options)
         started = time.perf_counter()
-        serial_range = serial.bound(aggregate, attribute)
-        serial_ms = (time.perf_counter() - started) * 1000
-        started = time.perf_counter()
-        sharded_range = sharded.bound(aggregate, attribute)
-        sharded_ms = (time.perf_counter() - started) * 1000
-        identical = ((serial_range.lower, serial_range.upper)
-                     == (sharded_range.lower, sharded_range.upper))
-        print(f"  {aggregate.value:>5s}: serial {serial_range} "
-              f"({serial_ms:.1f} ms)  region-sharded {sharded_range} "
-              f"({sharded_ms:.1f} ms)  bit-identical: {identical}")
-    # The first bound paid the enumeration; the rest reused the program.
-    print(f"decompositions: serial {serial.decompositions_computed}, "
-          f"region-sharded {sharded.decompositions_computed}")
+        batch = service.execute_batch("chain", batch_queries)
+        pooled_ms = (time.perf_counter() - started) * 1000
+    started = time.perf_counter()
+    expected = [serial.analyze(query) for query in batch_queries]
+    serial_ms = (time.perf_counter() - started) * 1000
+    for (aggregate, _), offset in zip(makers, range(0, len(batch_queries),
+                                                    len(regions))):
+        pooled = batch.reports[offset:offset + len(regions)]
+        reference = expected[offset:offset + len(regions)]
+        identical = all((report.lower, report.upper)
+                        == (want.lower, want.upper)
+                        for report, want in zip(pooled, reference))
+        print(f"  {aggregate.value:>5s} over {len(regions)} regions: "
+              f"bit-identical to serial: {identical}")
+    print(f"batch of {len(batch_queries)}: process pool {pooled_ms:.1f} ms "
+          f"(including worker start-up), serial {serial_ms:.1f} ms")
 
     _, pcset = build_scenario()
 

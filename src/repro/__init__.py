@@ -29,9 +29,8 @@ Sub-packages
     Satisfiability, LP/MILP, fractional-edge-cover substrates, and the
     MILP backend registry.
 ``repro.parallel``
-    Parallel fan-out: the persistent worker pool that runs
-    region-sharded cell enumeration (:class:`ShardedBoundPlan`) and batch
-    queries, and cross-backend range verification.
+    Inter-query fan-out: the persistent worker pool that answers batch
+    queries on warm workers, and cross-backend range verification.
 ``repro.service``
     The long-lived service layer: named/versioned constraint sessions,
     fingerprint-keyed decomposition and report caches, and concurrent batch
@@ -70,10 +69,6 @@ from .plan import (
     build_plan,
     compile_plan,
     optimize_plan,
-)
-from .parallel import (
-    PlanShard,
-    ShardedBoundPlan,
 )
 from .relational import (
     AggregateFunction,
@@ -120,8 +115,6 @@ __all__ = [
     "build_plan",
     "compile_plan",
     "optimize_plan",
-    "PlanShard",
-    "ShardedBoundPlan",
     "AggregateFunction",
     "AggregateQuery",
     "ColumnType",

@@ -102,17 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(written by repro.relational.write_csv)")
     bound_parser.add_argument("--no-closure-check", action="store_true",
                               help="skip the closed-world check (assume closure)")
-    bound_parser.add_argument("--workers", type=int, default=None,
-                              help="fan the cell enumeration out over this "
-                                   "many workers when the plan splits by "
-                                   "query region (default: serial); workers "
-                                   "are borrowed from a persistent shared "
-                                   "pool")
-    bound_parser.add_argument("--parallel-mode", default=None,
-                              choices=["thread", "process"],
-                              help="worker-pool flavour for --workers "
-                                   "(default: thread; process needs a "
-                                   "process-safe backend)")
     bound_parser.add_argument("--cache-dir", default=None, metavar="DIR",
                               help="persistent cache directory: route the "
                                    "query through a service whose "
@@ -144,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                               metavar="UNITS",
                               help="program-aware admission budget: queries "
                                    "priced above UNITS (from their plan: "
-                                   "constraints, estimated cells, shard "
-                                   "layout, program warmth) are rejected "
+                                   "constraints, estimated cells, program "
+                                   "warmth) are rejected "
                                    "before any solve is dispatched")
     serve_parser.add_argument("--no-closure-check", action="store_true",
                               help="skip the closed-world check (assume closure)")
@@ -222,23 +211,10 @@ def _add_solver_arguments(parser: argparse.ArgumentParser) -> None:
                        metavar="CELLS",
                        help="let the plan optimizer early-stop automatically "
                             "when the worst-case cell count exceeds CELLS")
-    group.add_argument("--shard-strategy", default=None,
-                       choices=["auto", "region"],
-                       help="when the sharding pass splits plans for "
-                            "--workers: region (always partition the query "
-                            "region and fan the cell enumeration out) or "
-                            "auto (default; only when the enumeration is "
-                            "worth fanning out)")
     group.add_argument("--verify-backend", default=None, metavar="NAME",
                        help="cross-check every range on this second MILP "
                             "backend and fail loudly when the two backends "
                             "return disjoint ranges")
-    group.add_argument("--solve-batch-size", type=int, default=None,
-                       metavar="SHARDS",
-                       help="region shards per worker-pool task when "
-                            "--workers fans cell enumeration out (default: "
-                            "adaptive from pool depth and observed cell "
-                            "density); never changes a range")
     group.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="wall-clock budget per query; an expired query "
@@ -271,12 +247,6 @@ def _solver_options(args: argparse.Namespace):
         if args.cell_budget < 1:
             raise ReproError("--cell-budget must be at least 1")
         options.cell_budget = args.cell_budget
-    if args.shard_strategy is not None:
-        options.shard_strategy = args.shard_strategy
-    if args.solve_batch_size is not None:
-        if args.solve_batch_size < 1:
-            raise ReproError("--solve-batch-size must be at least 1")
-        options.solve_batch_size = args.solve_batch_size
     if args.deadline is not None:
         if args.deadline <= 0:
             raise ReproError("--deadline must be positive")
@@ -355,12 +325,6 @@ def _command_bound(args: argparse.Namespace) -> int:
                              region)
 
     options = _solver_options(args)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ReproError("--workers must be at least 1")
-        options.solve_workers = args.workers
-    if args.parallel_mode is not None:
-        options.parallel_mode = args.parallel_mode
     service = None
     if args.cache_dir:
         # Route through a service so the persistent tier backs the caches:
@@ -391,21 +355,6 @@ def _command_bound(args: argparse.Namespace) -> int:
           + f", backend {plan.milp_backend}")
     for note in plan.trace:
         print(f"                  - {note}")
-    if options.solve_workers is not None and options.solve_workers > 1:
-        # Region sharding fans the cell enumeration out; every aggregate
-        # is then solved on the one serial program.
-        sharded = analyzer.solver.sharded_plan(query.region, query.attribute)
-        # Report the pool the fan-out actually borrowed: the resolved mode
-        # can differ from --parallel-mode (process-unsafe backends fall
-        # back to threads, width 1 degrades to serial).
-        pool = analyzer.solver.borrow_pool(options.solve_workers)
-        print(f"sharding        : {sharded.strategy} strategy, "
-              f"{len(sharded)} shard(s) over "
-              f"{options.solve_workers} worker(s) on the shared "
-              f"{pool.mode} pool"
-              + (" (region-split cell enumeration, solved on the serial "
-                 "program)" if sharded.is_sharded
-                 else " (unsplittable; solved serially)"))
     if options.verify_backend is not None:
         print(f"verification    : cross-backend against "
               f"{options.verify_backend}")

@@ -28,17 +28,15 @@ sound (the feasible region is a superset of the true one).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..exceptions import QueryDeadlineError, SolverError
-from ..faults import Deadline, current_deadline, deadline_scope
+from ..faults import Deadline, check_deadline, current_deadline, deadline_scope
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..plan.ir import BoundPlan, BoundQuery, build_plan
-from ..plan.passes import (ObservedCellStatistics, ShardLoadMemo,
-                           default_passes, optimize_plan)
+from ..plan.passes import ObservedCellStatistics, default_passes, optimize_plan
 from ..plan.program import BoundProgram, compile_plan
-from ..plan.sharding import default_shard_strategy
 from ..relational.aggregates import AggregateFunction
 from ..solvers.milp import MILPBackend
 from .cells import (
@@ -75,47 +73,28 @@ class BoundOptions:
         disabled, every solve rebuilds the MILP from scratch — the
         pre-pipeline behaviour, kept as an equivalence/benchmark baseline.
 
-    The third block configures parallel fan-out and verification
-    (see :mod:`repro.parallel`):
+    The third block configures verification (see
+    :mod:`repro.parallel.verify`):
 
-    ``solve_workers``
-        When > 1, a plan's cell enumeration is split by query region and
-        fanned out over a worker pool of this width, then merged into the
-        serial-identical decomposition; the query is still solved by the
-        one serial program.  ``None`` (and ``1``) enumerate inline.
-    ``shard_strategy``
-        When the sharding pass region-splits: ``"auto"`` (only expensive
-        enumerations) or ``"region"`` (always).  Defaults to the
-        ``REPRO_SHARD_STRATEGY`` environment toggle (the region-preferred
-        CI leg) falling back to ``"auto"``.
-    ``parallel_mode``
-        Pool flavour for the fan-out: ``"thread"`` (default, safe for every
-        backend), ``"process"`` (real CPU scale-out; requires the backend's
-        ``process_safe`` capability flag), or ``"auto"``.
     ``verify_backend``
         When set, every bound is additionally solved on this second registry
         backend and the two ranges are intersected; disjoint ranges raise
         :class:`~repro.exceptions.DisjointRangeError` (the cross-backend
         alarm).  Must name a backend different from ``milp_backend`` to be
         a meaningful oracle, though equal names are tolerated.
-    ``solve_batch_size``
-        Fixed number of region shards per pool ``decompose_batch`` task
-        (``--solve-batch-size`` on the CLI).  ``None`` (default) sizes
-        batches adaptively from pool depth and the observed-density feed.
-        Like ``parallel_mode``, this knob is excluded from option
-        fingerprints: it changes how work is grouped, never a range.
 
     The fourth block configures fault tolerance (see :mod:`repro.faults`):
 
     ``deadline_seconds``
         Wall-clock budget per :meth:`PCBoundSolver.bound` call
-        (``--deadline`` on the CLI).  On expiry the fan-out stops
-        dispatching, abandons in-flight work, and raises
-        :class:`~repro.exceptions.QueryDeadlineError` carrying partial
-        progress.  Under the service the scope opens at admission, so time
-        spent queued *shrinks* the execution budget.  Excluded from option
-        fingerprints like ``parallel_mode``: it changes failure behaviour,
-        never a returned range.
+        (``--deadline`` on the CLI).  The budget is checked once the
+        program is compiled, before its solve: an expired query raises
+        :class:`~repro.exceptions.QueryDeadlineError` instead of solving.
+        Under the service the scope opens at admission, so time spent
+        queued *shrinks* the execution budget, and pool rounds running
+        under the scope abandon in-flight work on expiry.  Excluded from
+        option fingerprints: it changes failure behaviour, never a
+        returned range.
     ``degrade``
         ``"worst-case"`` opts into graceful degradation: when the program's
         solve raises :class:`~repro.exceptions.SolverError`, the query
@@ -136,11 +115,7 @@ class BoundOptions:
     cell_budget: int | None = None
     optimize: bool = True
     program_reuse: bool = True
-    solve_workers: int | None = None
-    parallel_mode: str = "thread"
     verify_backend: str | None = None
-    shard_strategy: str = field(default_factory=default_shard_strategy)
-    solve_batch_size: int | None = None
     deadline_seconds: float | None = None
     degrade: str | None = None
 
@@ -209,22 +184,11 @@ class PCBoundSolver:
         Optional shared cache for compiled :class:`BoundProgram` objects
         (same protocol as ``decomposition_cache``).  When omitted, programs
         are cached in a private per-instance dict.
-    worker_pool:
-        Optional long-lived :class:`~repro.parallel.pool.WorkerPool` the
-        region fan-out borrows (the service layer passes its own pool).
-        When omitted and ``options.solve_workers > 1``, a process-global
-        shared pool is borrowed.
     cell_statistics:
         Optional :class:`~repro.plan.passes.ObservedCellStatistics` feed
         the strategy-selection pass consults for adaptive cell budgeting;
         the solver records every fresh decomposition into it.  Defaults to
         a private per-solver feed; the service shares one across sessions.
-    shard_loads:
-        Optional :class:`~repro.plan.passes.ShardLoadMemo` feeding observed
-        per-shard cell loads back into region cut placement across
-        requests; every pooled region decomposition records its measured
-        slice loads into it.  Defaults to a private per-solver memo; the
-        service shares one across sessions (like ``cell_statistics``).
     """
 
     def __init__(self, pcset: PredicateConstraintSet,
@@ -232,23 +196,18 @@ class PCBoundSolver:
                  decomposition_cache=None,
                  cache_namespace: object = None,
                  program_cache=None,
-                 worker_pool=None,
-                 cell_statistics: ObservedCellStatistics | None = None,
-                 shard_loads: ShardLoadMemo | None = None):
+                 cell_statistics: ObservedCellStatistics | None = None):
         self._pcset = pcset
         self._options = options or BoundOptions()
         self._shared_cache = decomposition_cache
         self._cache_namespace = cache_namespace
         self._program_cache = program_cache
-        self._worker_pool = worker_pool
         self._cell_statistics = cell_statistics or ObservedCellStatistics()
-        self._shard_loads = shard_loads or ShardLoadMemo()
         self._decomposition_cache: dict[object, CellDecomposition] = {}
         self._decomposition_locks: dict[object, threading.Lock] = {}
         self._resolved_depths: dict[tuple, int | None] = {}
         self._local_programs: dict[object, BoundProgram] = {}
         self._local_program_locks: dict[object, threading.Lock] = {}
-        self._sharded_plans: dict[tuple, object] = {}
         self._decompositions_computed = 0
         self._decomposition_solver_calls = 0
         self._programs_compiled = 0
@@ -272,9 +231,7 @@ class PCBoundSolver:
         state = dict(self.__dict__)
         state["_shared_cache"] = None
         state["_program_cache"] = None
-        state["_worker_pool"] = None
         state["_cell_statistics"] = None
-        state["_shard_loads"] = None
         state["_decomposition_locks"] = {}
         state["_local_program_locks"] = {}
         del state["_counter_lock"]
@@ -286,7 +243,6 @@ class PCBoundSolver:
         self._counter_lock = threading.Lock()
         self._program_lock = threading.Lock()
         self._cell_statistics = ObservedCellStatistics()
-        self._shard_loads = ShardLoadMemo()
 
     @property
     def pcset(self) -> PredicateConstraintSet:
@@ -297,19 +253,9 @@ class PCBoundSolver:
         return self._options
 
     @property
-    def worker_pool(self):
-        """The injected worker pool, if any (None means borrow the shared one)."""
-        return self._worker_pool
-
-    @property
     def cell_statistics(self) -> ObservedCellStatistics | None:
         """The adaptive cell-count feed strategy selection consults."""
         return self._cell_statistics
-
-    @property
-    def shard_loads(self) -> ShardLoadMemo:
-        """The per-shard observed-load feed region cut placement consults."""
-        return self._shard_loads
 
     def attach_program_cache(self, cache) -> None:
         """Swap in a program cache (the worker-pool warm-cache handshake).
@@ -359,12 +305,6 @@ class PCBoundSolver:
             return
         with self._program_lock:
             self._resolved_depths.setdefault((region, attribute), depth)
-
-    def shard_program_key(self, shard, region: Predicate | None,
-                          attribute: str | None) -> tuple:
-        """The pool routing key for one region shard (program key + shard
-        token), so repeated sharded queries keep their affinity workers."""
-        return self._program_key(region, attribute) + shard.cache_token()
 
     def has_cached_program(self, region: Predicate | None = None,
                            attribute: str | None = None) -> bool:
@@ -424,9 +364,8 @@ class PCBoundSolver:
         ``known_sum`` / ``known_count`` describe the observed partition and
         are only used by AVG (whose bound depends jointly on both).
 
-        Every query is solved by the pair's one compiled program; with
-        ``solve_workers > 1`` only its cell enumeration may fan out (see
-        :meth:`_decompose_plan`).  Cross-backend verification
+        Every query is solved by the pair's one compiled program.
+        Cross-backend verification
         (``verify_backend``) additionally intersects the range with a
         second backend's and alarms on disagreement.
         """
@@ -470,6 +409,9 @@ class PCBoundSolver:
                        known_sum: float, known_count: float) -> ResultRange:
         """The closed-world missing-partition range from the pair's program.
 
+        The ambient deadline is checked between compiling and solving, so
+        an expired query raises
+        :class:`~repro.exceptions.QueryDeadlineError` instead of solving.
         With ``degrade="worst-case"`` a solve that raises
         :class:`~repro.exceptions.SolverError` falls back to the program's
         solver-free worst-case range, stamped ``degraded_shards=(0,)`` on a
@@ -481,6 +423,7 @@ class PCBoundSolver:
             raise SolverError(
                 f"unknown degrade policy {degrade!r}; expected 'worst-case'")
         program = self.program(region, attribute)
+        check_deadline(0, 1)
         tracer = get_tracer()
         with tracer.span("solve.serial"):
             try:
@@ -496,31 +439,6 @@ class PCBoundSolver:
         fallback = program.worst_case_range(aggregate, known_sum, known_count)
         return replace(fallback, statistics=replace(fallback.statistics,
                                                     degraded_shards=(0,)))
-
-    def borrow_pool(self, workers: int):
-        """The worker pool the fan-out runs on: the injected (service-owned)
-        pool when one was supplied, else a process-global shared pool —
-        either way long-lived, so repeated region fan-outs never pay pool
-        start-up.
-
-        The ``process_safe`` capability gate applies to injected pools too:
-        a service-owned process pool cannot run a backend whose state cannot
-        cross the process boundary, so such solvers borrow a shared thread
-        pool instead (the same fallback :class:`~repro.parallel.pool.
-        WorkerPool` applies when it knows the backend at construction).
-        """
-        from ..parallel.pool import shared_pool
-        from ..solvers.registry import backend_capabilities
-
-        backend = self._options.milp_backend
-        pool = self._worker_pool
-        if pool is not None:
-            if (pool.mode != "process"
-                    or backend_capabilities(backend).process_safe):
-                return pool
-            return shared_pool(mode="thread", max_workers=workers)
-        return shared_pool(mode=self._options.parallel_mode,
-                           max_workers=workers, backend=backend)
 
     def _cross_check(self, result: ResultRange, aggregate: AggregateFunction,
                      attribute: str | None, region: Predicate | None,
@@ -543,15 +461,12 @@ class PCBoundSolver:
         The decomposition namespace excludes the MILP backend, so the
         verifier reuses every cached decomposition; its programs key under
         their own backend name and never collide with the primary's.
-        Verification runs serially — fan-out on the oracle path would only
-        obscure which backend produced a bad range.
         """
         with self._program_lock:
             if self._verify_solver is None:
                 options = replace(self._options,
                                   milp_backend=self._options.verify_backend,
-                                  verify_backend=None,
-                                  solve_workers=None)
+                                  verify_backend=None)
                 self._verify_solver = PCBoundSolver(
                     self._pcset, options,
                     decomposition_cache=self._shared_cache,
@@ -667,53 +582,6 @@ class PCBoundSolver:
             (region, attribute),
             lambda: self._program_key(region, attribute),
             lambda: self._compile(region, attribute))
-
-    def sharded_plan(self, region: Predicate | None = None,
-                     attribute: str | None = None,
-                     max_shards: int | None = None):
-        """The :class:`~repro.plan.ShardedBoundPlan` for a (region,
-        attribute) pair: the optimized plan run through the sharding pass
-        (:func:`~repro.plan.sharding.select_sharding`), capped at
-        ``max_shards`` (defaulting to ``options.solve_workers``).  The
-        strategy preference comes from ``options.shard_strategy``; a plan no
-        strategy can split comes back with one shard (``is_sharded`` False).
-
-        Sharded plans are memoized per (region, attribute, max_shards):
-        building one runs the optimizer plus cut placement, which a warm
-        repeated query must not pay again — and under
-        ``auto`` the region-splitting decision consults the mutable
-        observed-density feed, so memoization also pins the first decision
-        (the same stability argument as the adaptive early-stop memo).
-        Plans and the shard layouts they induce are immutable, so the
-        cached object is safe to share across threads.
-
-        The memo is *version-aware* against the shard-load feedback memo
-        (:class:`~repro.plan.passes.ShardLoadMemo`): each cached entry
-        remembers the memo version it was cut under, and a later request
-        after new load observations re-runs cut placement so the critical
-        shard shrinks on the next query.  Re-cutting moves shard
-        boundaries, never merged decomposition content, so the pinned
-        ``auto`` decision and bit-identical results both survive.
-        """
-        from ..plan.sharding import select_sharding
-
-        if max_shards is None:
-            max_shards = self._options.solve_workers
-        key = (region, attribute, max_shards)
-        version = self._shard_loads.version
-        with self._program_lock:
-            cached = self._sharded_plans.get(key)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        aggregate = (AggregateFunction.COUNT if attribute is None
-                     else AggregateFunction.SUM)
-        plan = self.plan(BoundQuery(aggregate, attribute, region))
-        sharded = select_sharding(plan, max_shards=max_shards,
-                                  cell_statistics=self._cell_statistics,
-                                  shard_loads=self._shard_loads)
-        with self._program_lock:
-            self._sharded_plans[key] = (version, sharded)
-        return sharded
 
     def _cached_program(self, private_key, shared_key_factory,
                         factory) -> BoundProgram:
@@ -865,117 +733,6 @@ class PCBoundSolver:
         if self._cell_statistics is not None:
             self._cell_statistics.observe(decomposition.statistics)
 
-    def _region_decomposition_factory(self, plan: BoundPlan):
-        """A pool-fanned way to compute ``plan``'s decomposition, or None.
-
-        Returns a zero-argument callable only when the sharding pass split
-        this pair (a usable partition attribute, an enumeration worth
-        fanning out, fan-out requested and not already running inside a
-        pool worker).  The callable produces a
-        decomposition *identical* to the inline enumeration — the cell-union
-        equality argued in :mod:`repro.plan.sharding` — so it slots into
-        :func:`decompose_cached` as a ``compute_override`` without touching
-        keys, namespaces or the accounting callback.
-        """
-        workers = self._options.solve_workers
-        if workers is None or workers <= 1:
-            return None
-        from ..parallel.pool import in_pool_thread, in_worker
-
-        if in_worker() or in_pool_thread():
-            return None
-        sharded = self.sharded_plan(plan.query.region, plan.query.attribute,
-                                    max_shards=workers)
-        if not sharded.is_sharded:
-            return None
-        return lambda: self._pooled_region_decomposition(plan, sharded,
-                                                         workers)
-
-    def _pooled_region_decomposition(self, plan: BoundPlan, sharded,
-                                     workers: int) -> CellDecomposition:
-        """Fan the region shards' enumerations out and union their cells.
-
-        Each task carries its shard's full constraint set and sub-region
-        (self-contained, so any worker can run it); routing keys reuse the
-        shard program keys, so repeated sharded queries keep their affinity
-        workers.  The shard plans inherit the parent's strategy and resolved
-        early-stop depth, which is what makes the merged cell set equal the
-        serial enumeration under every knob combination.
-
-        **Slice-level reuse.**  Before dispatching, each shard consults the
-        shared decomposition cache under its *slice key* (see
-        :func:`repro.plan.sharding.slice_cache_keys`): a shard's
-        decomposition is exactly the decomposition of its sub-region, so
-        slices are keyed like ordinary (namespace, region) entries and a
-        query whose region overlaps a previous one recomputes only the
-        uncovered slices — the cached ones rejoin via the same
-        :func:`merge_shard_decompositions` union, which keeps the merged
-        artifact bit-identical to a cold serial enumeration.  Fresh slice
-        decompositions are written back so future overlapping regions (and,
-        with a persistent tier attached, future processes) reuse them.
-
-        Batch size for the pool's batched shipping comes from the
-        observed-density feed: dense constraint sets (heavy per-shard
-        enumeration) keep batches small so one task cannot become the
-        critical-path straggler, sparse ones batch aggressively.
-        """
-        from ..obs.metrics import get_registry
-        from ..plan.passes import estimated_cell_count
-        from ..plan.sharding import merge_shard_decompositions, slice_cache_keys
-        from ..solvers.batching import adaptive_batch_size
-
-        region = plan.query.region
-        attribute = plan.query.attribute
-        shards = list(sharded)
-        slice_keys = None
-        decompositions: list = [None] * len(shards)
-        pending = list(enumerate(shards))
-        if self._shared_cache is not None:
-            slice_keys = slice_cache_keys(sharded, self._plan_namespace(plan))
-            pending = []
-            for index, shard in enumerate(shards):
-                cached = self._shared_cache.get(slice_keys[index])
-                if cached is not None:
-                    decompositions[index] = cached
-                else:
-                    pending.append((index, shard))
-            slice_hits = len(shards) - len(pending)
-            registry = get_registry()
-            if slice_hits:
-                registry.counter("cache.slice_hits").inc(slice_hits)
-            if pending:
-                registry.counter("cache.slice_recomputed").inc(len(pending))
-            get_tracer().annotate(slice_hits=slice_hits,
-                                  slice_recomputed=len(pending))
-        if pending:
-            keyed = [(self.shard_program_key(shard, region, attribute),
-                      shard.plan.pcset, shard.plan.query.region,
-                      shard.plan.strategy, shard.plan.early_stop_depth)
-                     for _index, shard in pending]
-            pool = self.borrow_pool(workers)
-            estimate, _source = estimated_cell_count(plan, self._cell_statistics)
-            batch_size = adaptive_batch_size(
-                len(keyed), pool.max_workers, estimated_cells=estimate,
-                configured=self._options.solve_batch_size)
-            fresh = pool.decompose_shards(keyed, batch_size=batch_size)
-            for (index, _shard), decomposition in zip(pending, fresh):
-                decompositions[index] = decomposition
-                if slice_keys is not None:
-                    self._shared_cache.put(slice_keys[index], decomposition)
-        # Close the feedback loop: record each shard's observed cell load
-        # under the *partition* attribute the cuts were placed on (not the
-        # aggregate attribute) so the next sharded_plan() for this pair
-        # re-cuts with real loads instead of midpoint counts.  Cached slices
-        # report their (identical) cell counts too — reuse must not starve
-        # the load feed.
-        loads = [(shard.bounds, len(decomposition.cells))
-                 for shard, decomposition in zip(shards, decompositions)
-                 if shard.bounds is not None]
-        if loads:
-            self._shard_loads.observe(
-                region, sharded.shards[0].partition_attribute, loads)
-        return merge_shard_decompositions(plan, decompositions)
-
     def _decompose_plan(self, plan: BoundPlan) -> CellDecomposition:
         tracer = get_tracer()
         with tracer.span("decompose"):
@@ -992,11 +749,7 @@ class PCBoundSolver:
         early-stop depth joins explicitly: under adaptive budgeting it
         depends on the observed-density feed, not just on
         (namespace, region), and two plans that enumerate to different
-        depths must never share cells.  Whole-region entries and per-slice
-        entries share this namespace — a region shard's decomposition *is*
-        the decomposition of its sub-region (shard plans inherit the
-        parent's constraint set, strategy and depth), so the two entry
-        populations may soundly serve each other.
+        depths must never share cells.
         """
         if self._cache_namespace is not None:
             return ("plan", self._cache_namespace,
@@ -1009,7 +762,6 @@ class PCBoundSolver:
 
     def _decompose_plan_inner(self, plan: BoundPlan) -> CellDecomposition:
         region = plan.query.region
-        compute_override = self._region_decomposition_factory(plan)
         if self._shared_cache is not None:
             namespace = self._plan_namespace(plan)
             return decompose_cached(
@@ -1018,8 +770,7 @@ class PCBoundSolver:
                 early_stop_depth=plan.early_stop_depth,
                 cache=self._shared_cache,
                 namespace=namespace,
-                on_compute=self._record_decomposition,
-                compute_override=compute_override)
+                on_compute=self._record_decomposition)
         # Programs for the same region but different attributes can compile
         # concurrently (the batch executor's warm phase), so the private
         # dict needs per-region locking to keep one decomposition per
@@ -1038,8 +789,7 @@ class PCBoundSolver:
                     plan.pcset, region,
                     strategy=plan.strategy,
                     early_stop_depth=plan.early_stop_depth,
-                    on_compute=self._record_decomposition,
-                    compute_override=compute_override)
+                    on_compute=self._record_decomposition)
                 with self._program_lock:
                     self._decomposition_cache[region] = decomposition
                     self._decomposition_locks.pop(region, None)

@@ -452,14 +452,6 @@ def decomposition_cache_key(namespace: object,
     completes the key because predicate pushdown makes the cell list
     region-specific.  :class:`~repro.core.predicates.Predicate` hashes by
     content, so syntactically equal regions collide as intended.
-
-    Region *slices* share this key space: the region-sharded fan-out stores
-    each shard's decomposition under ``(namespace, sub_region)`` (see
-    :func:`repro.plan.sharding.slice_cache_keys`), because a shard's
-    decomposition is definitionally the decomposition of its sub-region.
-    Whole-region entries and slice entries may therefore serve each other —
-    an overlapping query recomputes only uncovered slices, and a query
-    whose region happens to equal a previous slice reuses it outright.
     """
     return ("decomposition", namespace, query_region)
 
@@ -491,7 +483,6 @@ def decompose_cached(
     cache=None,
     namespace: object = None,
     on_compute: Callable[[CellDecomposition], None] | None = None,
-    compute_override: Callable[[], CellDecomposition] | None = None,
 ) -> CellDecomposition:
     """Decompose ``pcset``, reusing a previously computed decomposition.
 
@@ -504,14 +495,6 @@ def decompose_cached(
     fresh decompositions, which is how callers keep exact solver-call
     accounting even when most traffic is cache hits.
 
-    ``compute_override`` swaps in an alternative way of *producing* the same
-    decomposition on a cache miss — the region-sharded fan-out passes one
-    that unions pool-computed sub-region cells — while caching, keying and
-    ``on_compute`` accounting stay exactly as for an inline enumeration.
-    The override must return a decomposition equal to what the inline path
-    would compute (the region splitter's cell-union equality is argued in
-    :mod:`repro.plan.sharding`); anything else would poison shared caches.
-
     ``namespace`` defaults to a structural key derived from the constraint
     set's content and the strategy knobs, so omitting it is always sound;
     pass one explicitly (e.g. a service-layer fingerprint) only to make the
@@ -519,11 +502,8 @@ def decompose_cached(
     """
 
     def compute() -> CellDecomposition:
-        if compute_override is not None:
-            decomposition = compute_override()
-        else:
-            decomposer = CellDecomposer(pcset, strategy, early_stop_depth)
-            decomposition = decomposer.decompose(query_region)
+        decomposer = CellDecomposer(pcset, strategy, early_stop_depth)
+        decomposition = decomposer.decompose(query_region)
         if on_compute is not None:
             on_compute(decomposition)
         return decomposition

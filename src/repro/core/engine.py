@@ -169,17 +169,10 @@ class PCAnalyzer:
         Optional shared cache of compiled bound programs (see
         :class:`~repro.plan.BoundProgram`); the service layer passes one so
         warm queries skip plan compilation as well as decomposition.
-    worker_pool:
-        Optional long-lived :class:`~repro.parallel.pool.WorkerPool` the
-        solver's sharded fan-out borrows (the service passes its own).
     cell_statistics:
         Optional shared :class:`~repro.plan.passes.ObservedCellStatistics`
         feed for adaptive cell budgeting (the service shares one across
         sessions).
-    shard_loads:
-        Optional shared :class:`~repro.plan.passes.ShardLoadMemo` feeding
-        observed per-shard cell loads back into region cut placement (the
-        service shares one across sessions).
     """
 
     def __init__(self, pcset: PredicateConstraintSet,
@@ -188,9 +181,7 @@ class PCAnalyzer:
                  decomposition_cache=None,
                  cache_namespace: object = None,
                  program_cache=None,
-                 worker_pool=None,
-                 cell_statistics=None,
-                 shard_loads=None):
+                 cell_statistics=None):
         self._pcset = pcset
         self._observed = observed
         self._options = options or BoundOptions()
@@ -198,9 +189,7 @@ class PCAnalyzer:
                                      decomposition_cache=decomposition_cache,
                                      cache_namespace=cache_namespace,
                                      program_cache=program_cache,
-                                     worker_pool=worker_pool,
-                                     cell_statistics=cell_statistics,
-                                     shard_loads=shard_loads)
+                                     cell_statistics=cell_statistics)
 
     @property
     def pcset(self) -> PredicateConstraintSet:
@@ -238,16 +227,6 @@ class PCAnalyzer:
         plan.  ``plan_for(query).describe()`` is the query's EXPLAIN output.
         """
         return self._solver.plan(query)
-
-    def sharded_plan_for(self, query: ContingencyQuery):
-        """The :class:`~repro.plan.ShardedBoundPlan` the sharding pass would
-        execute ``query`` through (introspection: strategy, shard layout).
-
-        Like :meth:`plan_for` this never decomposes or solves — the service
-        layer prices admission decisions from it, and the CLI renders it as
-        the sharding half of the EXPLAIN output.
-        """
-        return self._solver.sharded_plan(query.region, query.attribute)
 
     # ------------------------------------------------------------------ #
     # Main API

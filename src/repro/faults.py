@@ -28,18 +28,19 @@ Each clause is ``action:key=value,...`` where *action* is one of
 and the keys select *which* dispatch the fault fires on:
 
 ``worker=N``   only tasks dispatched to worker index ``N``
-``kind=NAME``  only tasks of that pool task kind (``decompose_batch``,
-               ``analyze_batch``, ...; an unknown kind is a parse error)
+``kind=NAME``  only tasks of that pool task kind (``warm``, ``register``
+               or ``analyze_batch``; an unknown kind is a parse error)
 ``task=N``     only the ``N``-th dispatch overall (1-based, deterministic
                because dispatch order is deterministic)
-``shard=N``    only tasks whose payload position (shard index) is ``N``
+``shard=N``    only tasks whose payload position is ``N`` (a batch task
+               matches on its first query's position in the call)
 ``nth=N``      the ``N``-th dispatch matching the other keys
 ``ms=N``       (``delay`` only) sleep duration in milliseconds
 ``count=N``    fire up to ``N`` times (default 1)
 ``message=S``  (``fail`` only) text carried by the injected error
 
 Matching happens on the *coordinator* side at dispatch time — the
-coordinator knows the worker index, task kind, shard position and the
+coordinator knows the worker index, task kind, payload position and the
 global dispatch ordinal, and rounds serialise under the pool's round lock,
 so a plan fires on exactly the same dispatch every run.  The matched
 directive ships to the worker inside the task payload's control slot; the
@@ -47,8 +48,8 @@ worker only ever executes what the coordinator already decided.
 
 The module also owns the ambient **query deadline**: a
 :class:`Deadline` installed with :func:`deadline_scope` is visible to every
-layer underneath (admission wait loops, pool rounds) via
-:func:`current_deadline`, without threading a parameter through each
+layer underneath (admission wait loops, pool rounds, the solver's
+pre-solve check) via :func:`current_deadline`, without threading a parameter through each
 signature.
 """
 
@@ -60,7 +61,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .exceptions import ReproError, SolverError
+from .exceptions import QueryDeadlineError, ReproError, SolverError
 
 __all__ = [
     "FAULTS_ENV",
@@ -73,6 +74,7 @@ __all__ = [
     "Deadline",
     "deadline_scope",
     "current_deadline",
+    "check_deadline",
 ]
 
 #: Environment variable holding the fault plan.  The environment wins over
@@ -328,10 +330,38 @@ class Deadline:
 _AMBIENT = threading.local()
 
 
+def _forget_inherited_deadlines() -> None:
+    # A forked child (a process-pool worker started mid-query) inherits the
+    # forking thread's thread-locals, but that deadline belongs to the
+    # parent's query, not to any work the child will run.
+    _AMBIENT.stack = []
+
+
+os.register_at_fork(after_in_child=_forget_inherited_deadlines)
+
+
 def current_deadline() -> Deadline | None:
     """The innermost deadline installed on this thread, if any."""
     stack = getattr(_AMBIENT, "stack", None)
     return stack[-1] if stack else None
+
+
+def check_deadline(completed: int = 0, total: int = 0) -> None:
+    """Raise :class:`~repro.exceptions.QueryDeadlineError` when the ambient
+    deadline has expired.
+
+    Inline (in-process) work calls this between its units — ``completed``
+    of ``total`` done so far — so it cancels with the same granularity as
+    a pooled round, which checks on every poll tick.
+    """
+    deadline = current_deadline()
+    if deadline is not None and deadline.expired():
+        raise QueryDeadlineError(
+            f"query deadline of {deadline.seconds:.3f}s expired after "
+            f"{deadline.elapsed():.3f}s with {completed} of {total} "
+            f"inline tasks complete",
+            deadline=deadline.seconds, elapsed=deadline.elapsed(),
+            completed=completed, pending=total - completed)
 
 
 @contextmanager

@@ -1,10 +1,8 @@
 """EXPLAIN ANALYZE-style query profiles rendered from span trees.
 
 A :class:`QueryProfile` is the user-facing form of one query's trace: the
-span tree with wall-times, attribute tallies (solver calls, cache verdicts,
-per-shard counts) and derived aggregates — total solver calls, the max/mean
-*shard-time* and *shard-cell* skew ratios the skew-aware scheduler flattens
-(``shard_cell_skew`` is the number feedback resharding optimizes), and the
+span tree with wall-times, attribute tallies (solver calls, cache verdicts)
+and derived aggregates — total solver calls, batched pool traffic, and the
 fault-tolerance trail — tasks that survived a worker crash
 (``retried_tasks``) and solves answered from their worst-case fallback
 (``degraded_shards``).
@@ -18,7 +16,6 @@ flat records), and ``from_dict``/``from_json`` round-trip it.
 from __future__ import annotations
 
 import json
-import statistics as _statistics
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -165,82 +162,6 @@ class QueryProfile:
         """Total MILP/SAT solver invocations across every span."""
         return self.root.total("solver_calls")
 
-    def _shard_totals(self) -> dict[Any, list[float]]:
-        """Per-shard ``[wall seconds, cells solved]``, summed over every
-        span tagged with that shard id.
-
-        Aggregating by shard *id* — not per span — is what keeps the skew
-        signal stable across batching: a shard that used to emit ten
-        one-cell task spans now emits one ten-cell batch span, and both
-        shapes must report the same per-shard totals.  Spans without a
-        ``cells`` tally count as one cell (the pre-batch task kinds solve
-        exactly one parameterisation per span).
-        """
-        totals: dict[Any, list[float]] = {}
-        for node in self.root.walk():
-            shard = node.attributes.get("shard")
-            if shard is None:
-                continue
-            entry = totals.setdefault(shard, [0.0, 0.0])
-            entry[0] += node.duration
-            cells = node.attributes.get("cells")
-            if isinstance(cells, (int, float)) and not isinstance(cells, bool):
-                entry[1] += cells
-            else:
-                entry[1] += 1
-        return totals
-
-    def shard_times(self) -> list[float]:
-        """Total wall seconds per distinct shard (summed across its spans)."""
-        return [entry[0] for entry in self._shard_totals().values()]
-
-    def shard_cells(self) -> list[float]:
-        """Cells solved per distinct shard — the load counter that stays
-        comparable before and after batching, where per-shard *task* counts
-        collapse by the batch factor and would mask hot shards."""
-        return [entry[1] for entry in self._shard_totals().values()]
-
-    def shard_skew(self) -> float | None:
-        """max/mean per-shard wall-time ratio (>= 1.0), None without shards.
-
-        This is the straggler signal: 1.0 means perfectly balanced shards,
-        2.0 means the slowest shard ran twice the mean and the fan-out's
-        critical path is dominated by one straggler.  Times aggregate per
-        shard id first, so one shard's many task spans (or one batch span)
-        contribute a single total.
-        """
-        times = self.shard_times()
-        if not times:
-            return None
-        mean = _statistics.fmean(times)
-        if mean <= 0:
-            return 1.0
-        return max(times) / mean
-
-    def shard_cell_skew(self) -> float | None:
-        """max/mean per-shard cells-solved ratio (>= 1.0), the load-balance
-        twin of :meth:`shard_skew` in work units instead of wall time.
-
-        This is the number the skew-aware scheduler optimizes: feedback
-        resharding moves region cut points to flatten it across requests,
-        and the PR8 benchmark asserts it drops once observed loads feed
-        back into cut placement.
-        """
-        cells = self.shard_cells()
-        if not cells:
-            return None
-        mean = _statistics.fmean(cells)
-        if mean <= 0:
-            return 1.0
-        return max(cells) / mean
-
-    def shard_cell_loads(self) -> dict[Any, float]:
-        """Cells solved per shard id — the raw per-shard load map behind
-        :meth:`shard_cell_skew`, for tooling that wants to see *which*
-        shard ran hot rather than just how unbalanced the run was."""
-        return {shard: entry[1]
-                for shard, entry in self._shard_totals().items()}
-
     def retried_tasks(self) -> int:
         """How many pool task spans came from a re-dispatched task.
 
@@ -272,7 +193,7 @@ class QueryProfile:
         tasks = 0
         cells = 0.0
         for node in self.root.walk():
-            if node.name in ("pool.decompose_batch", "pool.analyze_batch"):
+            if node.name == "pool.analyze_batch":
                 tasks += 1
                 value = node.attributes.get("cells")
                 if isinstance(value, (int, float)) \
@@ -302,13 +223,8 @@ class QueryProfile:
                 emit(child, depth + 1)
 
         emit(self.root, 0)
-        skew = self.shard_skew()
         summary = (f"total {self.wall_seconds * 1000:.3f} ms, "
                    f"solver calls {self.solver_calls:.0f}")
-        if skew is not None:
-            times = self.shard_times()
-            summary += (f", shards {len(times)}, "
-                        f"shard-time skew {skew:.2f}x (max/mean)")
         batches = self.batch_counts()
         if batches["batched_tasks"]:
             summary += (f", batched {batches['batched_cells']:.0f} cell(s) "
@@ -332,10 +248,6 @@ class QueryProfile:
             "trace_id": self.trace_id,
             "wall_seconds": self.wall_seconds,
             "solver_calls": self.solver_calls,
-            "shard_skew": self.shard_skew(),
-            "shard_cell_skew": self.shard_cell_skew(),
-            "shard_count": len(self.shard_times()),
-            "shard_cells": sum(self.shard_cells()),
             "batched_tasks": batches["batched_tasks"],
             "batched_cells": batches["batched_cells"],
             "retried_tasks": self.retried_tasks(),

@@ -1,9 +1,9 @@
 """Lightweight span tracing with cross-process propagation.
 
 A *span* is one timed region of the pipeline — ``plan``, ``compile``,
-``solve.shard``, ``avg.round`` — with a monotonic start/end, a parent
+``solve.serial``, ``avg.round`` — with a monotonic start/end, a parent
 pointer, and a small attribute dict (solver-call counts, cache verdicts,
-shard ids).  A *trace* is the tree of spans for one query; the
+worker indexes).  A *trace* is the tree of spans for one query; the
 :class:`~repro.obs.profile.QueryProfile` renders it EXPLAIN ANALYZE-style.
 
 Design constraints, in priority order:
@@ -25,7 +25,7 @@ Design constraints, in priority order:
 3. **Bounded overhead when enabled.**  Root traces honour a sampling knob
    (``sample_every=N`` keeps one trace in N); forced traces (explicit
    profile requests) bypass sampling.  Span storage is append-only per
-   trace, flat, and bounded by pipeline depth × shard count.
+   trace, flat, and bounded by pipeline depth × pool task count.
 
 State is thread-local: each coordinator thread owns its active trace, and
 worker threads in thread-mode pools join the coordinator's trace via
@@ -369,7 +369,7 @@ class Tracer:
         The tuples already carry coordinator span ids as parents (the
         worker rooted them at the shipped context), so adoption is a bulk
         append.  Returns the adopted subtree's root span so the caller can
-        annotate it (shard index, worker index).  No-op when the reply
+        annotate it (worker index, attempts).  No-op when the reply
         carried no spans or the local trace has ended.
         """
         if not spans:

@@ -28,8 +28,12 @@ threads instead of failing, the pool being infrastructure that outlives any
 one backend choice), ``"thread"`` (shared-memory fan-out, the default), and
 ``"serial"`` (inline, the width-1 degeneration).  Nested use is safe: code
 already running inside a pool worker (process or thread) executes inline
-instead of re-entering a pool, so a pooled analyzer whose options request
-fan-out can never recurse into worker-spawning.
+instead of re-entering a pool, so pooled work can never recurse into
+worker-spawning.
+
+The pool carries inter-query work only — warming programs, registering
+sessions and answering batches of queries.  Each query itself is solved
+serially by its one compiled program.
 """
 
 from __future__ import annotations
@@ -50,16 +54,16 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..exceptions import PoisonTaskError, QueryDeadlineError, SolverError
-from ..faults import apply_worker_fault, current_deadline, resolve_faults
+from ..faults import (apply_worker_fault, check_deadline, current_deadline,
+                      resolve_faults)
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from ..solvers.batching import adaptive_batch_size, chunked
 from ..solvers.registry import backend_capabilities
 
 __all__ = ["WorkerPool", "PoolStatistics", "POOL_MODES", "TASK_KINDS",
-           "shared_pool", "shutdown_shared_pools", "default_pool_mode",
-           "default_pool_workers", "in_worker", "in_pool_thread",
-           "register_for_reaping"]
+           "default_pool_mode", "default_pool_workers", "in_worker",
+           "in_pool_thread", "register_for_reaping"]
 
 POOL_MODES = ("serial", "thread", "process", "auto")
 
@@ -89,8 +93,7 @@ def in_worker() -> bool:
 
 def in_pool_thread() -> bool:
     """True on a thread-mode pool worker thread (same nested-fan-out guard:
-    waiting on our own executor from one of its threads would deadlock, and
-    inline re-sharding would multiply cost for zero concurrency)."""
+    waiting on our own executor from one of its threads would deadlock)."""
     return getattr(_POOL_THREAD, "active", False)
 
 
@@ -185,35 +188,6 @@ def _handle_register(programs, sessions, task):
     return True
 
 
-def _handle_decompose_batch(programs, sessions, task):
-    """A batch of region-shard enumerations in one task.
-
-    Decompose batches are self-contained — the constraint set and
-    sub-regions travel with the task — so they need no warm program state;
-    the parent unions the returned cells into the serial-identical
-    decomposition (:func:`repro.plan.sharding.merge_shard_decompositions`).
-    Each entry keeps its own ``pool.decompose`` child span tagged with its
-    *global* shard position and cell count, so per-shard skew accounting
-    stays cell-accurate however many shards one task carries.
-    """
-    from ..core.cells import CellDecomposer
-
-    _, _, _key, entries = task
-    tracer = get_tracer()
-    results = []
-    total = 0
-    for shard_position, pcset, region, strategy, early_stop_depth in entries:
-        with tracer.span("pool.decompose"):
-            decomposer = CellDecomposer(pcset, strategy, early_stop_depth)
-            decomposition = decomposer.decompose(region)
-            tracer.annotate(shard=shard_position,
-                            cells=len(decomposition.cells))
-        total += len(decomposition.cells)
-        results.append(decomposition)
-    tracer.annotate(cells=total, shards=len(entries))
-    return results
-
-
 def _handle_analyze_batch(programs, sessions, task):
     """A batch of same-program queries against one registered session.
 
@@ -238,12 +212,11 @@ def _handle_analyze_batch(programs, sessions, task):
     return [analyzer.analyze(query) for query in queries]
 
 
-#: Every unit of work is a batch: a single shard or query ships as a
-#: one-entry ``*_batch`` task.
+#: Every query ships inside a batch: a single query is a one-entry
+#: ``analyze_batch`` task.
 _HANDLERS = {
     "warm": _handle_warm,
     "register": _handle_register,
-    "decompose_batch": _handle_decompose_batch,
     "analyze_batch": _handle_analyze_batch,
 }
 
@@ -255,7 +228,6 @@ TASK_KINDS = tuple(_HANDLERS)
 _TASK_SPANS = {
     "warm": "pool.warm",
     "register": "pool.register",
-    "decompose_batch": "pool.decompose_batch",
     "analyze_batch": "pool.analyze_batch",
 }
 
@@ -802,88 +774,14 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
     # Execution entry points
     # ------------------------------------------------------------------ #
-    def _check_deadline(self, completed: int, total: int) -> None:
-        """Raise :class:`~repro.exceptions.QueryDeadlineError` when the
-        ambient query deadline has expired (inline execution paths check
-        between items, so serial fan-outs cancel with the same granularity
-        as pooled rounds)."""
-        deadline = current_deadline()
-        if deadline is not None and deadline.expired():
-            raise QueryDeadlineError(
-                f"query deadline of {deadline.seconds:.3f}s expired after "
-                f"{deadline.elapsed():.3f}s with {completed} of {total} "
-                f"inline tasks complete",
-                deadline=deadline.seconds, elapsed=deadline.elapsed(),
-                completed=completed, pending=total - completed)
-
-    def decompose_shards(self, keyed_tasks: Sequence[tuple],
-                         batch_size: int | None = None) -> list:
-        """Enumerate every region shard's cells, in order.
-
-        ``keyed_tasks`` entries are ``(key, pcset, region, strategy,
-        early_stop_depth)`` — the key routes the task to its affinity
-        worker (so a repeated sharded query keeps landing on the same
-        workers), and the rest is the self-contained decomposition job.
-        Returns one :class:`~repro.core.cells.CellDecomposition` per task;
-        the caller unions them (:func:`repro.plan.sharding.
-        merge_shard_decompositions`).
-
-        Process mode groups shards by affinity worker and ships each group
-        as ``decompose_batch`` tasks of up to ``batch_size`` enumerations
-        (adaptive from pool depth when the caller passes none).  Grouping
-        happens *within* each worker's share of the keys, so a batch never
-        drags a shard away from the worker its key is pinned to, and every
-        entry carries its global shard position for the per-shard spans.
-        """
-        def run_one(task):
-            from ..core.cells import CellDecomposer
-
-            _key, pcset, region, strategy, early_stop_depth = task
-            decomposition = CellDecomposer(pcset, strategy,
-                                           early_stop_depth).decompose(region)
-            get_tracer().annotate(cells=len(decomposition.cells))
-            return decomposition
-
-        tasks = list(keyed_tasks)
-        if self._inline() or len(tasks) <= 1:
-            self._record_batch_traffic(len(tasks), len(tasks))
-            tracer = get_tracer()
-            results = []
-            for position, task in enumerate(tasks):
-                self._check_deadline(position, len(tasks))
-                with tracer.span("pool.decompose"):
-                    if len(tasks) > 1:
-                        tracer.annotate(shard=position)
-                    results.append(run_one(task))
-            return results
-        if self._mode == "thread":
-            self._record_batch_traffic(len(tasks), len(tasks))
-            return self._thread_map(run_one, tasks,
-                                    label="pool.decompose", shard_attr=True)
-        size = batch_size or adaptive_batch_size(len(tasks), self._max_workers)
-        groups: dict[int, list[tuple[int, tuple]]] = {}
-        for position, task in enumerate(tasks):
-            groups.setdefault(self.worker_for(task[0]), []).append(
-                (position, tuple(task)))
-        requests = []
-        for _worker_index, members in sorted(groups.items()):
-            for chunk in chunked(members, size):
-                key = chunk[0][1][0]
-                entries = tuple((position,) + task[1:]
-                                for position, task in chunk)
-                positions = tuple(position for position, _ in chunk)
-                requests.append(("decompose_batch", key, (key, entries),
-                                 positions))
-        self._record_batch_traffic(len(requests), len(tasks))
-        return _scatter(self._locked_round(requests), len(tasks))
-
     def analyze(self, session_key, analyzer,
                 keyed_queries: Sequence[tuple]) -> list:
         """Answer ``(program_key, program, query, resolved_depth)`` entries,
         in order.
 
         Thread/serial modes run ``analyzer.analyze`` directly (shared
-        memory).  Process mode registers the analyzer on each involved
+        memory); inline execution checks the ambient deadline between
+        queries.  Process mode registers the analyzer on each involved
         worker once, routes by program key so repeated traffic hits warm
         caches, and ships queries sharing a program key and depth
         resolution — the pair that must agree for one worker-side
@@ -895,7 +793,11 @@ class WorkerPool:
         entries = list(keyed_queries)
         if self._inline() or len(entries) <= 1:
             self._record_batch_traffic(len(entries), len(entries))
-            return [analyzer.analyze(entry[2]) for entry in entries]
+            reports = []
+            for position, entry in enumerate(entries):
+                check_deadline(position, len(entries))
+                reports.append(analyzer.analyze(entry[2]))
+            return reports
         if self._mode == "thread":
             self._record_batch_traffic(len(entries), len(entries))
             return self._thread_map(lambda entry: analyzer.analyze(entry[2]),
@@ -931,8 +833,7 @@ class WorkerPool:
         # whatever is crash-looping the workers.
         return time.monotonic() < self._breaker_until
 
-    def _thread_map(self, fn, items: list, label: str = "pool.task",
-                    shard_attr: bool = False) -> list:
+    def _thread_map(self, fn, items: list, label: str = "pool.task") -> list:
         with self._round_lock:
             executor = self._ensure_started()
         # Thread-mode rounds run concurrently (no round lock), so the
@@ -950,11 +851,10 @@ class WorkerPool:
         # here so the executor threads can honour it.
         deadline = current_deadline()
 
-        def guarded(indexed):
+        def guarded(item):
             # Nested pool use from inside a pool thread runs inline —
             # waiting on our own executor from one of its threads would
             # deadlock once every thread blocks.
-            index, item = indexed
             if deadline is not None and deadline.expired():
                 raise QueryDeadlineError(
                     f"query deadline of {deadline.seconds:.3f}s expired "
@@ -966,15 +866,13 @@ class WorkerPool:
                     return fn(item)
                 with tracer.attach(trace, parent_id):
                     with tracer.span(label):
-                        if shard_attr:
-                            tracer.annotate(shard=index)
                         return fn(item)
             finally:
                 _POOL_THREAD.active = False
 
         self._note_live(len(items))
         try:
-            return list(executor.map(guarded, enumerate(items)))
+            return list(executor.map(guarded, items))
         finally:
             self._note_live(-len(items))
 
@@ -1088,12 +986,8 @@ class WorkerPool:
 
     def _adopt_spans(self, task: _PendingTask, worker_index: int,
                      spans) -> None:
-        """Splice a reply's worker spans into the coordinator's trace.
-
-        The adopted subtree's root is tagged with the worker that ran the
-        task (``decompose_batch`` entries tag their own child spans with
-        the shard position :meth:`repro.obs.profile.QueryProfile.shard_skew`
-        reads)."""
+        """Splice a reply's worker spans into the coordinator's trace, its
+        root tagged with the worker that ran the task."""
         if not spans:
             return
         root = get_tracer().adopt(spans)
@@ -1136,8 +1030,8 @@ class WorkerPool:
         """Consult the fault plan for one dispatch (None without a plan).
 
         Batch positions are tuples; the plan's ``shard`` selector matches
-        their first (global) position, so a plan keyed on a shard number
-        fires however many shards its batch carries.
+        their first position in the call, so a plan keyed on a position
+        fires however many queries its batch carries.
         """
         if self._faults is None:
             return None
@@ -1194,9 +1088,6 @@ class WorkerPool:
             worker.warm_keys.add(key)
             self._bump("programs_shipped")
             return ("warm", task_id, key, program)
-        if kind == "decompose_batch":
-            # Self-contained: no program shipping or warm bookkeeping.
-            return (kind, task_id) + args
         assert kind == "analyze_batch"
         session_key, program_key, program, queries, resolved_depth = args
         shipped = self._maybe_ship(worker, program_key, program)
@@ -1293,49 +1184,3 @@ class WorkerPool:
     def __repr__(self) -> str:
         return (f"WorkerPool({self._name!r}, mode={self._mode!r}, "
                 f"workers={self._max_workers}, alive={self.alive_workers()})")
-
-
-# --------------------------------------------------------------------- #
-# The shared-pool registry (the CLI / bare-solver borrow point)
-# --------------------------------------------------------------------- #
-_shared_lock = threading.Lock()
-_shared_pools: dict[tuple, WorkerPool] = {}
-
-
-def shared_pool(mode: str = "thread", max_workers: int | None = None,
-                backend: str | None = None) -> WorkerPool:
-    """A process-global long-lived pool for callers without a service.
-
-    Bare :class:`~repro.core.bounds.PCBoundSolver` instances (and therefore
-    the CLI ``bound --workers`` path) borrow from here, so repeated region
-    fan-outs amortise worker start-up exactly like service traffic does.
-    Pools are keyed by (resolved mode, width, backend) and reaped atexit.
-    """
-    workers = max_workers or default_pool_workers()
-    # Resolve the mode fully — including the process-unsafe thread
-    # fallback — before keying, so a "process" request that resolves to
-    # threads shares the registry entry with direct thread requests
-    # instead of registering a second identical thread pool.
-    resolved = "thread" if mode == "auto" else mode
-    if resolved == "process" and backend is not None:
-        if not backend_capabilities(backend).process_safe:
-            resolved = "thread"
-    if workers == 1:
-        resolved = "serial"
-    key = (resolved, workers, backend if resolved == "process" else None)
-    with _shared_lock:
-        pool = _shared_pools.get(key)
-        if pool is None:
-            pool = WorkerPool(max_workers=workers, mode=resolved,
-                              backend=backend,
-                              name=f"shared-{resolved}-{workers}")
-            _shared_pools[key] = pool
-        return pool
-
-
-def shutdown_shared_pools() -> None:
-    """Tear down every shared pool (tests; atexit covers normal exits)."""
-    with _shared_lock:
-        for pool in _shared_pools.values():
-            pool.shutdown()
-        _shared_pools.clear()

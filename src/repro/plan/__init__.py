@@ -21,16 +21,10 @@ physical execution:
     parametric search) only patch objective parameters.  Programs are immutable
     after compilation and safe to share across threads, which is what lets
     the service layer LRU-cache them alongside decompositions.
-``sharding``
-    The sharding pass: :class:`RegionSharding` maps one optimized plan to
-    a :class:`ShardedBoundPlan` whose shards enumerate cells over slices of
-    the query region, selected by :func:`select_sharding` from the plan's
-    preference and the observed-density feed.
 
-The pipeline's entry points are :func:`build_plan`, :func:`optimize_plan`,
-:func:`compile_plan` and :func:`select_sharding`;
-:class:`repro.core.bounds.PCBoundSolver` drives them and remains the public
-solving facade.
+The pipeline's entry points are :func:`build_plan`, :func:`optimize_plan`
+and :func:`compile_plan`; :class:`repro.core.bounds.PCBoundSolver` drives
+them and remains the public solving facade.
 """
 
 from .ir import BoundPlan, BoundQuery, build_plan
@@ -44,14 +38,6 @@ from .passes import (
     optimize_plan,
 )
 from .program import BoundProgram, compile_plan
-from .sharding import (
-    PlanShard,
-    RegionSharding,
-    ShardedBoundPlan,
-    default_shard_strategy,
-    merge_shard_decompositions,
-    select_sharding,
-)
 
 __all__ = [
     "BoundPlan",
@@ -66,10 +52,4 @@ __all__ = [
     "optimize_plan",
     "BoundProgram",
     "compile_plan",
-    "RegionSharding",
-    "PlanShard",
-    "ShardedBoundPlan",
-    "default_shard_strategy",
-    "select_sharding",
-    "merge_shard_decompositions",
 ]

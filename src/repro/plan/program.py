@@ -590,9 +590,9 @@ class BoundProgram:
         its capacity, every value at its clipped extreme, no coupling
         constraints — so it costs one pass over the profiles and cannot
         fail or time out.  This is the ``degrade="worst-case"`` fallback: a
-        shard whose exact solve died or ran past the deadline substitutes
-        this range, and the merged result is still sound (the true answer
-        lies inside a superset of a superset).  It is deliberately *loose*:
+        query whose exact solve raised substitutes this range, which is
+        still sound (the true answer lies inside a superset of the exact
+        range).  It is deliberately *loose*:
         mandatory-row floors, cross-cell frequency coupling and the AVG
         search are all relaxed.
         """

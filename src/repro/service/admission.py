@@ -1,13 +1,13 @@
 """Program-aware admission control: price queries from their plans.
 
 A production service must refuse work it cannot afford *before* paying for
-it.  The plan pipeline makes that possible: ``plan_for(query)`` plus the
-sharding pass expose — without decomposing or solving anything — exactly the
-quantities that predict a query's cost: the optimized constraint count, the
-estimated satisfiable-cell count (observed-density-scaled through the same
+it.  The plan pipeline makes that possible: ``plan_for(query)`` exposes —
+without decomposing or solving anything — exactly the quantities that
+predict a query's cost: the optimized constraint count, the estimated
+satisfiable-cell count (observed-density-scaled through the same
 :class:`~repro.plan.passes.ObservedCellStatistics` feed strategy selection
-uses), the sharded layout (strategy and shard count), whether the compiled
-program is already warm in the cache, and the worker pool's warm-hit rate.
+uses), whether the compiled program is already warm in the cache, and the
+worker pool's warm-hit rate.
 
 :func:`price_query` folds those signals into a scalar unit count
 (:class:`QueryCost`), and :class:`AdmissionController` enforces an
@@ -75,8 +75,6 @@ class QueryCost:
     aggregate: str
     constraint_count: int
     estimated_cells: int
-    shard_count: int
-    strategy: str
     program_warm: bool
     pool_warm_hit_rate: float
 
@@ -84,8 +82,7 @@ class QueryCost:
         warmth = "warm" if self.program_warm else "cold"
         return (f"{self.aggregate} priced at {self.units:.1f} unit(s) "
                 f"({self.constraint_count} constraint(s), "
-                f"~{self.estimated_cells} cell(s), {self.strategy} x "
-                f"{self.shard_count} shard(s), {warmth} program)")
+                f"~{self.estimated_cells} cell(s), {warmth} program)")
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -93,8 +90,6 @@ class QueryCost:
             "aggregate": self.aggregate,
             "constraint_count": self.constraint_count,
             "estimated_cells": self.estimated_cells,
-            "shard_count": self.shard_count,
-            "strategy": self.strategy,
             "program_warm": self.program_warm,
             "pool_warm_hit_rate": self.pool_warm_hit_rate,
         }
@@ -115,14 +110,11 @@ def price_query(solver, query, *, pool_statistics=None,
     patched-objective solve over one cell):
 
     * **build cost** — a cold (region, attribute) pair pays the enumeration
-      plus compilation, ``estimated_cells + constraints``, divided by the
-      region shard count (shards enumerate concurrently); a warm pair pays
+      plus compilation, ``estimated_cells + constraints``; a warm pair pays
       nothing.  The worker pool's warm-hit rate discounts the cold cost —
       a pool that has been answering this workload likely holds the
       skeletons already.
-    * **solve cost** — one objective patch over the estimated cells.  Every
-      query is solved by the one serial program, so no shard count divides
-      this term.  AVG runs a certified Dinkelbach search per side, one
+    * **solve cost** — one objective patch over the estimated cells.  AVG runs a certified Dinkelbach search per side, one
       patched solve per step, so it pays
       ``2 · min(AVG_SOLVES_PER_SIDE, avg_max_iterations)`` solves instead of
       one.  The per-side count is measured, not the iteration budget: over
@@ -133,20 +125,12 @@ def price_query(solver, query, *, pool_statistics=None,
       AVG ~20x and shed queries that run in a few solves.
 
     Monotone by construction: more constraints or more estimated cells can
-    only raise the price, warmth and sharding can only lower it.
+    only raise the price, warmth can only lower it.
     """
-    sharded = solver.sharded_plan(query.region, query.attribute)
-    plan = sharded.parent
+    plan = solver.plan(query)
     estimate, _ = estimated_cell_count(plan, cell_statistics)
     cells = max(1, estimate)
     constraints = len(plan.pcset)
-    # The sharded layout only discounts the price when the solver will
-    # actually execute it — a session without fan-out runs serially no
-    # matter how the plan could have been split.
-    workers = getattr(solver.options, "solve_workers", None)
-    fans_out = (workers is not None and workers > 1) and sharded.is_sharded
-    shard_count = len(sharded) if fans_out else 1
-    strategy = sharded.strategy if fans_out else "serial"
     warm = solver.has_cached_program(query.region, query.attribute)
     warm_hit_rate = 0.0
     if pool_statistics is not None:
@@ -154,10 +138,9 @@ def price_query(solver, query, *, pool_statistics=None,
 
     build = 0.0
     if not warm:
-        build = float(cells + constraints)
-        # Region-sharded enumeration fans out; pool warmth means skeletons
-        # are likely already resident worker-side.
-        build = build / shard_count * (1.0 - 0.5 * warm_hit_rate)
+        # Pool warmth means skeletons are likely already resident
+        # worker-side.
+        build = float(cells + constraints) * (1.0 - 0.5 * warm_hit_rate)
     probes = 1
     if query.aggregate is AggregateFunction.AVG:
         probes = 2 * min(AVG_SOLVES_PER_SIDE,
@@ -168,8 +151,6 @@ def price_query(solver, query, *, pool_statistics=None,
                      aggregate=query.aggregate.value,
                      constraint_count=constraints,
                      estimated_cells=cells,
-                     shard_count=shard_count,
-                     strategy=strategy,
                      program_warm=warm,
                      pool_warm_hit_rate=warm_hit_rate)
 
@@ -178,17 +159,16 @@ def admissible_cell_budget(cost: QueryCost, budget: float) -> int:
     """The largest estimated-cell count that would clear ``budget``.
 
     Inverts :func:`price_query` for a query with ``cost``'s shape (same
-    aggregate, constraint count, sharded layout and warmth): the price is
+    aggregate, constraint count and warmth): the price is
     linear in the estimated cells, so solving ``price(cells) <= budget``
     for ``cells`` gives rejected callers a concrete downscoping target —
     "tighten your region below this many estimated cells and the query
     fits" — instead of an opaque unit total.
     """
-    shard_count = max(1, cost.shard_count)
     cells = max(1, cost.estimated_cells)
     discount = 0.0
     if not cost.program_warm:
-        discount = (1.0 - 0.5 * cost.pool_warm_hit_rate) / shard_count
+        discount = 1.0 - 0.5 * cost.pool_warm_hit_rate
     # Recover the probe multiplier from the priced total — the only term
     # price_query derives from options rather than recording on the cost.
     build = (cells + cost.constraint_count) * discount
@@ -502,9 +482,6 @@ class AdmissionController:
                                                    for c in costs), default=0),
                              estimated_cells=max((c.estimated_cells
                                                   for c in costs), default=0),
-                             shard_count=max((c.shard_count for c in costs),
-                                             default=1),
-                             strategy="batch",
                              program_warm=all(c.program_warm for c in costs),
                              pool_warm_hit_rate=max((c.pool_warm_hit_rate
                                                      for c in costs),

@@ -18,8 +18,10 @@ orders are different cache namespaces.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import math
+import pickle
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -48,6 +50,7 @@ __all__ = [
     "RelationVersion",
     "decomposition_namespace",
     "combine_fingerprints",
+    "fingerprint_key",
 ]
 
 
@@ -140,15 +143,14 @@ def fingerprint_query(query: ContingencyQuery) -> str:
 def fingerprint_bound_options(options: BoundOptions) -> str:
     """Content hash of the solver tuning knobs (plan-pipeline knobs included).
 
-    ``solve_workers`` and ``shard_strategy`` participate because sharded and
-    serial execution may legitimately differ under approximate
-    (early-stopped) enumeration, ``verify_backend`` because a verified
-    session fails differently from an unverified one, and ``degrade``
-    because a degraded answer is a (sound) superset of the exact one — the
-    two must never share a report-cache entry.  ``parallel_mode`` is
-    excluded: thread vs process pools can never change a range, only its
-    wall-clock cost; ``deadline_seconds`` likewise — a deadline changes
-    whether a query *finishes*, never the range it finishes with.
+    ``verify_backend`` participates because a verified session fails
+    differently from an unverified one, and ``degrade`` because a degraded
+    answer is a (sound) superset of the exact one — the two must never
+    share a report-cache entry.  No execution-layout knob takes part: every
+    query is decomposed and solved by one serial program, so how work is
+    spread over a pool never changes a range.  ``deadline_seconds`` is
+    excluded too — a deadline changes whether a query *finishes*, never
+    the range it finishes with.
     """
     tokens = [
         "options",
@@ -161,9 +163,7 @@ def fingerprint_bound_options(options: BoundOptions) -> str:
         "" if options.cell_budget is None else str(options.cell_budget),
         str(int(options.optimize)),
         str(int(options.program_reuse)),
-        "" if options.solve_workers is None else str(options.solve_workers),
         "" if options.verify_backend is None else str(options.verify_backend),
-        options.shard_strategy,
         "" if options.degrade is None else str(options.degrade),
     ]
     return _digest(tokens)
@@ -316,3 +316,52 @@ def decomposition_namespace(pcset: PredicateConstraintSet,
 def combine_fingerprints(*fingerprints: str) -> str:
     """Fold several fingerprints into one (used for session identities)."""
     return _digest(["combined", *fingerprints])
+
+
+def fingerprint_key(key: object) -> str:
+    """Content hash of a cache key, identical in every process.
+
+    Cache keys are nested tuples of strings, numbers, enums, predicates and
+    constraint pieces.  Pickling one is not stable across processes: a
+    frozenset (say, the values of a ``Predicate.isin``) pickles in
+    hash-seed order.  Each value is therefore encoded as type-tagged tokens
+    — predicates and constraint pieces through the fingerprints above, set
+    members sorted by their own digest — and only values of any other type
+    fall back to their pickle.
+    """
+    tokens: list[str] = []
+    _key_tokens(key, tokens)
+    return _digest(tokens)
+
+
+def _key_tokens(value: object, tokens: list[str]) -> None:
+    if value is None:
+        tokens.append("none")
+    elif isinstance(value, bool):
+        tokens.append(f"bool:{int(value)}")
+    elif isinstance(value, int):
+        tokens.append(f"int:{value}")
+    elif isinstance(value, float):
+        tokens.append(f"float:{value!r}")
+    elif isinstance(value, str):
+        tokens.append(f"str:{len(value)}:{value}")
+    elif isinstance(value, enum.Enum):
+        tokens.append(f"enum:{type(value).__qualname__}:{value.value!r}")
+    elif isinstance(value, Predicate):
+        tokens.extend(_predicate_tokens(value))
+    elif isinstance(value, ValueConstraint):
+        tokens.extend(_value_tokens(value))
+    elif isinstance(value, FrequencyConstraint):
+        tokens.extend(_frequency_tokens(value))
+    elif isinstance(value, AttributeDomain):
+        tokens.extend(_domain_tokens("", value))
+    elif isinstance(value, (tuple, list)):
+        tokens.append(f"{type(value).__name__}:{len(value)}")
+        for item in value:
+            _key_tokens(item, tokens)
+    elif isinstance(value, (frozenset, set)):
+        tokens.append(f"set:{len(value)}")
+        tokens.extend(sorted(fingerprint_key(item) for item in value))
+    else:
+        digest = hashlib.sha256(pickle.dumps(value, protocol=4)).hexdigest()
+        tokens.append(f"pickle:{type(value).__qualname__}:{digest}")

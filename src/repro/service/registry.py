@@ -52,9 +52,7 @@ class RegisteredSession:
     registered_at: float
     _decomposition_cache: object = field(default=None, repr=False)
     _program_cache: object = field(default=None, repr=False)
-    _worker_pool: object = field(default=None, repr=False)
     _cell_statistics: object = field(default=None, repr=False)
-    _shard_loads: object = field(default=None, repr=False)
     _analyzer: PCAnalyzer | None = field(default=None, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -69,9 +67,7 @@ class RegisteredSession:
                     cache_namespace=decomposition_namespace(self.pcset,
                                                             self.options),
                     program_cache=self._program_cache,
-                    worker_pool=self._worker_pool,
-                    cell_statistics=self._cell_statistics,
-                    shard_loads=self._shard_loads)
+                    cell_statistics=self._cell_statistics)
             return self._analyzer
 
     def analyze(self, query: ContingencyQuery) -> ContingencyReport:
@@ -112,7 +108,6 @@ class RegisteredSession:
             "total_max_rows": self.pcset.total_max_rows(),
             "observed_rows": 0 if self.observed is None else self.observed.num_rows,
             "relation_version": None if version is None else version.describe(),
-            "shard_strategy": self.options.shard_strategy,
             "deadline_seconds": self.options.deadline_seconds,
             "degrade": self.options.degrade,
             "registered_at": self.registered_at,
@@ -140,27 +135,17 @@ class SessionRegistry:
     program_cache:
         Shared cache of compiled bound programs, handed to every session's
         analyzer alongside the decomposition cache.
-    worker_pool:
-        The owning service's persistent worker pool, handed to every
-        session's analyzer so sharded fan-out borrows it instead of
-        spinning per-call executors.
     cell_statistics:
         Shared :class:`~repro.plan.passes.ObservedCellStatistics` feed, so
         every session's measured decompositions inform every other
         session's adaptive cell budgeting.
-    shard_loads:
-        Shared :class:`~repro.plan.passes.ShardLoadMemo`, so every
-        session's observed per-shard cell loads inform every other
-        session's region cut placement.
     """
 
     def __init__(self, decomposition_cache=None, program_cache=None,
-                 worker_pool=None, cell_statistics=None, shard_loads=None):
+                 cell_statistics=None):
         self._decomposition_cache = decomposition_cache
         self._program_cache = program_cache
-        self._worker_pool = worker_pool
         self._cell_statistics = cell_statistics
-        self._shard_loads = shard_loads
         self._sessions: dict[str, list[RegisteredSession]] = {}
         self._lock = threading.RLock()
 
@@ -194,9 +179,7 @@ class SessionRegistry:
                 registered_at=time.time(),
                 _decomposition_cache=self._decomposition_cache,
                 _program_cache=self._program_cache,
-                _worker_pool=self._worker_pool,
                 _cell_statistics=self._cell_statistics,
-                _shard_loads=self._shard_loads,
             )
             versions.append(session)
             return session

@@ -43,7 +43,7 @@ from ..obs.metrics import get_registry
 from ..obs.profile import QueryProfile
 from ..obs.trace import Trace, get_tracer
 from ..parallel.pool import WorkerPool, default_pool_mode
-from ..plan.passes import ObservedCellStatistics, ShardLoadMemo
+from ..plan.passes import ObservedCellStatistics
 from ..relational.relation import Relation
 from .admission import (
     AdmissionController,
@@ -198,14 +198,13 @@ class ContingencyService:
         ``"process"`` (warm worker caches + real CPU scale-out), or
         ``"serial"``.  Defaults to the ``REPRO_POOL`` environment toggle
         (``1`` selects processes — the CI leg that exercises the warm-pool
-        path).  The pool outlives every batch: it serves batch phase 2 and
-        every session's sharded fan-out, and is torn down by
-        :meth:`shutdown` (or the atexit reaper).
+        path).  The pool outlives every batch: it serves batch phase 2
+        and is torn down by :meth:`shutdown` (or the atexit reaper).
     admission:
         Optional :class:`~repro.service.admission.AdmissionPolicy` enabling
         program-aware admission control: every cold query is priced from
-        its plan (constraint count, estimated cells, sharded layout,
-        program warmth, pool warm-hit rate) *before* anything is solved,
+        its plan (constraint count, estimated cells, program warmth, pool
+        warm-hit rate) *before* anything is solved,
         and queries over the per-query budget — or arriving when capacity
         and the bounded admission queue are both exhausted — are shed with
         :class:`~repro.exceptions.QueryRejectedError`.  Report-cache hits
@@ -254,13 +253,10 @@ class ContingencyService:
                                        mode=pool_mode or default_pool_mode(),
                                        name="service")
         self._cell_statistics = ObservedCellStatistics()
-        self._shard_loads = ShardLoadMemo()
         self._registry = SessionRegistry(
             decomposition_cache=self._decomposition_cache,
             program_cache=self._program_cache,
-            worker_pool=self._worker_pool,
-            cell_statistics=self._cell_statistics,
-            shard_loads=self._shard_loads)
+            cell_statistics=self._cell_statistics)
         self._executor = BatchExecutor(max_workers, pool=self._worker_pool)
         self._default_options = default_options
         self._verify_backend = verify_backend if verify == "cross-backend" else None
@@ -295,11 +291,6 @@ class ContingencyService:
     def cell_statistics(self) -> ObservedCellStatistics:
         """The shared adaptive cell-count feed (one across all sessions)."""
         return self._cell_statistics
-
-    @property
-    def shard_loads(self) -> ShardLoadMemo:
-        """The shared shard-load feedback memo (one across all sessions)."""
-        return self._shard_loads
 
     @property
     def admission(self) -> AdmissionController | None:

@@ -17,10 +17,12 @@ Design rules, in order of importance:
 * **Schema versioned.**  ``PRAGMA user_version`` stamps the on-disk layout;
   opening a store written by an incompatible version drops and recreates the
   table rather than guessing at row meaning.
-* **Content-addressed rows.**  Lookup keys are the SHA-256 of the pickled
-  cache key (cache keys are tuples of fingerprints/predicates, already
-  content-derived); values are pickled Python objects.  Two processes running
-  the same code produce the same key bytes for the same logical entry.
+* **Content-addressed rows.**  Lookup keys are the SHA-256 of a canonical,
+  type-tagged encoding of the cache key
+  (:func:`~repro.service.fingerprint.fingerprint_key`); values are pickled
+  Python objects.  Two processes running the same code produce the same key
+  bytes for the same logical entry, whatever their hash seeds — a pickled
+  key would not, since frozensets pickle in hash-seed order.
 
 Rows are namespaced by ``kind`` (one per attached cache) so decompositions
 and reports share one file without colliding.
@@ -28,7 +30,6 @@ and reports share one file without colliding.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import sqlite3
@@ -38,6 +39,7 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterator
 
 from ..obs.metrics import get_registry
+from .fingerprint import fingerprint_key
 
 __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 
@@ -45,7 +47,10 @@ __all__ = ["PersistentStore", "StoreStatistics", "default_cache_dir"]
 #: or when stored values were computed by a method whose answers changed.
 #: Version 2: AVG ranges come from the certified parametric search, so
 #: reports written under version 1 (bisection) are dropped on open.
-SCHEMA_VERSION = 2
+#: Version 3: lookup keys hash a canonical key encoding instead of the
+#: key's pickle, and session fingerprints no longer cover fan-out options,
+#: so rows keyed the old way are dropped on open instead of orphaned.
+SCHEMA_VERSION = 3
 
 _DB_FILENAME = "repro-cache.sqlite"
 
@@ -180,10 +185,9 @@ class PersistentStore:
     # Key/value encoding
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _encode_key(key: Hashable) -> tuple[bytes, bytes]:
-        """``(sha256 lookup key, pickled key)`` for a cache key tuple."""
-        key_pickle = pickle.dumps(key, protocol=4)
-        return hashlib.sha256(key_pickle).digest(), key_pickle
+    def _key_digest(key: Hashable) -> bytes:
+        """The sha256 lookup key for a cache key tuple."""
+        return bytes.fromhex(fingerprint_key(key))
 
     # ------------------------------------------------------------------ #
     # Read / write
@@ -196,7 +200,7 @@ class PersistentStore:
             if self._closed or self._connection is None:
                 return None
             try:
-                digest, _ = self._encode_key(key)
+                digest = self._key_digest(key)
                 row = self._connection.execute(
                     "SELECT value FROM entries WHERE kind = ? AND key = ?",
                     (kind, digest),
@@ -220,7 +224,8 @@ class PersistentStore:
     def write(self, kind: str, key: Hashable, value: object) -> None:
         """Persist ``value`` (best-effort — failures are swallowed)."""
         try:
-            digest, key_pickle = self._encode_key(key)
+            digest = self._key_digest(key)
+            key_pickle = pickle.dumps(key, protocol=4)
             value_pickle = pickle.dumps(value, protocol=4)
         except Exception:
             self._count_error()
@@ -247,7 +252,7 @@ class PersistentStore:
             if self._closed or self._connection is None:
                 return
             try:
-                digest, _ = self._encode_key(key)
+                digest = self._key_digest(key)
                 self._connection.execute(
                     "DELETE FROM entries WHERE kind = ? AND key = ?",
                     (kind, digest),

@@ -2,7 +2,7 @@
 
 The controller is pinned directly (accept / reject / defer / timeout over
 synthetic costs), the pricing model is pinned for monotonicity and
-warm/sharded discounts, and the service integration is pinned end-to-end:
+warm discounts, and the service integration is pinned end-to-end:
 an over-budget query is shed *before* any decomposition or compilation, the
 bounded queue defers and resumes, batches admit as one reservation, and
 report-cache hits bypass admission entirely.
@@ -48,8 +48,7 @@ def chain_pcset(count: int = 6) -> PredicateConstraintSet:
 
 def cost(units: float) -> QueryCost:
     return QueryCost(units=units, aggregate="COUNT", constraint_count=1,
-                     estimated_cells=1, shard_count=1, strategy="serial",
-                     program_warm=False, pool_warm_hit_rate=0.0)
+                     estimated_cells=1, program_warm=False, pool_warm_hit_rate=0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -162,14 +161,6 @@ class TestPricing:
         assert warm.program_warm and not cold.program_warm
         assert warm.units < cold.units
 
-    def test_fanned_out_query_is_cheaper_than_serial(self):
-        _, serial = self.price(chain_pcset(6), ContingencyQuery.count())
-        _, sharded = self.price(chain_pcset(6), ContingencyQuery.count(),
-                                solve_workers=3, shard_strategy="region")
-        assert sharded.strategy == "region" and sharded.shard_count >= 2
-        assert serial.strategy == "serial"
-        assert sharded.units < serial.units
-
     def test_avg_prices_its_probe_budget(self):
         _, count = self.price(chain_pcset(4), ContingencyQuery.count())
         _, avg = self.price(chain_pcset(4), ContingencyQuery.avg("v"))
@@ -193,17 +184,17 @@ class TestPricing:
         assert capped.units - count.units == pytest.approx(cells)
 
     @pytest.mark.parametrize("options", [
-        {}, {"solve_workers": 3, "shard_strategy": "region"}])
+        {}, {"avg_max_iterations": AVG_SOLVES_PER_SIDE}])
     def test_cell_budget_inverts_avg_price(self, options):
+        # An iteration cap equal to the per-side solve count must price
+        # exactly like the uncapped default.
         solver, avg = self.price(chain_pcset(6), ContingencyQuery.avg("v"),
                                  **options)
-        cells, shards = avg.estimated_cells, avg.shard_count
-        # Cold: every cell pays its build share (split across the region
-        # shards that enumerate it) plus both search sides on the one
-        # serial program — the solve term is never divided by shards.
-        base = avg.constraint_count / shards
+        cells = avg.estimated_cells
+        # Cold: every cell pays its build share plus both search sides.
+        base = avg.constraint_count
         assert (avg.units - base) / cells == pytest.approx(
-            1 / shards + 2 * AVG_SOLVES_PER_SIDE)
+            1 + 2 * AVG_SOLVES_PER_SIDE)
         assert admissible_cell_budget(avg, avg.units + 1e-9) == cells
         assert admissible_cell_budget(avg, avg.units - 1e-6) == cells - 1
         # Warm: the solves alone.

@@ -109,58 +109,6 @@ class TestCliBound:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.fixture
-    def disjoint_constraint_file(self, tmp_path):
-        path = tmp_path / "disjoint.txt"
-        path.write_text(
-            "0 <= utc <= 1 => 1.0 <= price <= 10.0, (2, 5)\n"
-            "2 <= utc <= 3 => 1.0 <= price <= 20.0, (2, 5)\n"
-            "4 <= utc <= 5 => 1.0 <= price <= 30.0, (2, 5)\n"
-            "6 <= utc <= 7 => 1.0 <= price <= 40.0, (2, 5)\n")
-        return path
-
-    def test_bound_workers_reports_shared_pool(self, capsys,
-                                               disjoint_constraint_file):
-        code = main(["bound", "--constraints", str(disjoint_constraint_file),
-                     "--aggregate", "sum", "--attribute", "price",
-                     "--workers", "2", "--parallel-mode", "thread",
-                     "--shard-strategy", "auto", "--no-closure-check"])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "shard(s) over 2 worker(s) on the shared thread pool" in output
-        # Four disjoint windows are too few cells for ``auto`` to split.
-        assert "unsplittable; solved serially" in output
-
-    def test_bound_workers_avg_runs_serial_program(self, capsys,
-                                                   disjoint_constraint_file):
-        code = main(["bound", "--constraints", str(disjoint_constraint_file),
-                     "--aggregate", "avg", "--attribute", "price",
-                     "--workers", "2", "--shard-strategy", "region",
-                     "--no-closure-check"])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "solved on the serial program" in output
-        assert "result range" in output
-
-    def test_bound_workers_match_serial_ranges(self, capsys,
-                                               disjoint_constraint_file):
-        for aggregate in ("sum", "avg"):
-            assert main(["bound", "--constraints",
-                         str(disjoint_constraint_file),
-                         "--aggregate", aggregate, "--attribute", "price",
-                         "--no-closure-check"]) == 0
-            serial_output = capsys.readouterr().out
-            assert main(["bound", "--constraints",
-                         str(disjoint_constraint_file),
-                         "--aggregate", aggregate, "--attribute", "price",
-                         "--workers", "3", "--no-closure-check"]) == 0
-            parallel_output = capsys.readouterr().out
-            serial_range = [line for line in serial_output.splitlines()
-                            if line.startswith("result range")]
-            parallel_range = [line for line in parallel_output.splitlines()
-                              if line.startswith("result range")]
-            assert serial_range == parallel_range
-
 
 class TestGroupByAnalysis:
     def build_analyzer(self) -> PCAnalyzer:
@@ -348,8 +296,7 @@ class TestCliSessions:
 class TestCliShardingAndAdmission:
     @pytest.fixture
     def chained_constraint_file(self, tmp_path):
-        """Overlapping windows — one overlap component, the region
-        splitter's target regime."""
+        """Overlapping windows — one overlap component."""
         path = tmp_path / "chained.txt"
         path.write_text(
             "0 <= utc <= 2 => 1.0 <= price <= 10.0, (0, 5)\n"
@@ -359,52 +306,15 @@ class TestCliShardingAndAdmission:
             "4 <= utc <= 6 => 1.0 <= price <= 50.0, (0, 5)\n")
         return path
 
-    def test_bound_region_strategy_shards_one_component_set(
-            self, capsys, chained_constraint_file):
-        code = main(["bound", "--constraints", str(chained_constraint_file),
-                     "--aggregate", "sum", "--attribute", "price",
-                     "--workers", "2", "--shard-strategy", "region",
-                     "--no-closure-check"])
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "region strategy" in output
-        assert "region-split cell enumeration" in output
-
-    def test_bound_region_matches_serial_range(self, capsys,
-                                               chained_constraint_file):
-        def range_line(arguments):
-            assert main(arguments) == 0
-            return [line for line in capsys.readouterr().out.splitlines()
-                    if line.startswith("result range")]
-
-        serial = range_line(["bound", "--constraints",
-                             str(chained_constraint_file),
-                             "--aggregate", "sum", "--attribute", "price",
-                             "--no-closure-check"])
-        region = range_line(["bound", "--constraints",
-                             str(chained_constraint_file),
-                             "--aggregate", "sum", "--attribute", "price",
-                             "--workers", "2", "--shard-strategy", "region",
-                             "--no-closure-check"])
-        assert serial == region
-
-    def test_bound_reports_unsplittable_plan(self, capsys, tmp_path):
-        # One window shows one interval midpoint: no cut point exists.
-        path = tmp_path / "single.txt"
-        path.write_text("0 <= utc <= 2 => 1.0 <= price <= 10.0, (0, 5)\n")
-        code = main(["bound", "--constraints", str(path),
-                     "--aggregate", "count",
-                     "--workers", "2", "--shard-strategy", "region",
-                     "--no-closure-check"])
-        assert code == 0
-        assert "unsplittable; solved serially" in capsys.readouterr().out
-
-    def test_component_strategy_is_no_longer_a_choice(
-            self, chained_constraint_file):
+    @pytest.mark.parametrize("flag, value", [
+        ("--workers", "2"), ("--parallel-mode", "thread"),
+        ("--shard-strategy", "region"), ("--solve-batch-size", "2")])
+    def test_bound_rejects_removed_fan_out_flags(
+            self, chained_constraint_file, flag, value):
         with pytest.raises(SystemExit):
             main(["bound", "--constraints", str(chained_constraint_file),
-                  "--aggregate", "count", "--workers", "2",
-                  "--shard-strategy", "component", "--no-closure-check"])
+                  "--aggregate", "count", flag, value,
+                  "--no-closure-check"])
 
     def test_serve_batch_max_cost_rejects_before_solving(
             self, capsys, chained_constraint_file, query_file):

@@ -88,33 +88,14 @@ def make_relation(rows: int = 240, seed: int = 5) -> Relation:
 
 
 def make_solver(**options) -> PCBoundSolver:
-    """A solver whose fan-out always region-splits (the six disjoint
-    windows are too few cells for ``auto`` to bother)."""
+    """A solver over six disjoint windows of ``t``."""
     pcset = build_partition_pcs(make_relation(), ["t"], 6)
-    return PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                             shard_strategy="region",
-                                             **options))
+    return PCBoundSolver(pcset, BoundOptions(check_closure=False, **options))
 
 
-def shard_tasks(solver: PCBoundSolver, attribute: str = "v",
-                shards: int = 3) -> list[tuple]:
-    """Region-shard enumeration tasks, keyed like the solver keys them."""
-    sharded = solver.sharded_plan(None, attribute, max_shards=shards)
-    assert sharded.is_sharded
-    return [(solver.shard_program_key(shard, None, attribute),
-             shard.plan.pcset, shard.plan.query.region, shard.plan.strategy,
-             shard.plan.early_stop_depth)
-            for shard in sharded]
-
-
-def coverings(decompositions) -> list[list]:
-    return [[cell.covering for cell in decomposition.cells]
-            for decomposition in decompositions]
-
-
-def direct_coverings(tasks) -> list[list]:
-    return coverings(CellDecomposer(pcset, strategy, depth).decompose(region)
-                     for _key, pcset, region, strategy, depth in tasks)
+def make_analyzer() -> PCAnalyzer:
+    return PCAnalyzer(make_solver().pcset,
+                      options=BoundOptions(check_closure=False))
 
 
 REGIONS = [None, Predicate.range("t", 0.0, 20.0),
@@ -138,6 +119,22 @@ def keyed_queries(analyzer: PCAnalyzer, queries) -> list[tuple]:
 
 def endpoints(reports) -> list[tuple]:
     return [(report.lower, report.upper) for report in reports]
+
+
+def serial_endpoints(analyzer: PCAnalyzer, queries) -> list[tuple]:
+    """The reference: each query answered serially in-process."""
+    return endpoints(analyzer.analyze(query) for query in queries)
+
+
+def slow_decompositions(monkeypatch, seconds: float = 0.2) -> None:
+    """Make every cell enumeration take at least ``seconds``."""
+    original = CellDecomposer.decompose
+
+    def slow(decomposer, *args, **kwargs):
+        time.sleep(seconds)
+        return original(decomposer, *args, **kwargs)
+
+    monkeypatch.setattr(CellDecomposer, "decompose", slow)
 
 
 def fail_every_solve(monkeypatch) -> None:
@@ -165,23 +162,23 @@ class TestFaultPlanParsing:
     def test_selectors_fire_deterministically(self):
         plan = parse_faults("delay:worker=0,nth=2,ms=5")
         # nth counts only dispatches matching the other selectors.
-        assert plan.on_dispatch(1, "decompose_batch", 0) is None
-        assert plan.on_dispatch(0, "decompose_batch", 0) is None  # 1st match
-        assert plan.on_dispatch(0, "decompose_batch", 1) == ("delay", 5.0)
-        assert plan.on_dispatch(0, "decompose_batch", 2) is None  # count exhausted
+        assert plan.on_dispatch(1, "analyze_batch", 0) is None
+        assert plan.on_dispatch(0, "analyze_batch", 0) is None  # 1st match
+        assert plan.on_dispatch(0, "analyze_batch", 1) == ("delay", 5.0)
+        assert plan.on_dispatch(0, "analyze_batch", 2) is None  # count exhausted
         assert plan.fired() == 1
         plan.reset()
         assert plan.fired() == 0
 
     def test_count_caps_firings(self):
         plan = parse_faults("fail:shard=0,count=2,message=boom")
-        assert plan.on_dispatch(0, "decompose_batch", 0) == ("fail", "boom")
-        assert plan.on_dispatch(1, "decompose_batch", 0) == ("fail", "boom")
-        assert plan.on_dispatch(2, "decompose_batch", 0) is None
+        assert plan.on_dispatch(0, "analyze_batch", 0) == ("fail", "boom")
+        assert plan.on_dispatch(1, "analyze_batch", 0) == ("fail", "boom")
+        assert plan.on_dispatch(2, "analyze_batch", 0) is None
 
     def test_first_matching_clause_wins(self):
         plan = parse_faults("delay:ms=1;kill:worker=0")
-        assert plan.on_dispatch(0, "decompose_batch", 0) == ("delay", 1.0)
+        assert plan.on_dispatch(0, "analyze_batch", 0) == ("delay", 1.0)
 
     def test_every_pool_task_kind_is_selectable(self):
         from repro.parallel.pool import TASK_KINDS
@@ -233,19 +230,20 @@ class TestDeadlines:
         assert current_deadline() is None
 
     def test_inline_round_honours_expired_deadline(self):
-        tasks = shard_tasks(make_solver())
+        analyzer = make_analyzer()
+        keyed = keyed_queries(analyzer,
+                              aggregate_queries(AggregateFunction.SUM))
         pool = WorkerPool(max_workers=WORKERS, mode="serial")
         with deadline_scope(Deadline(1e-9)):
             with pytest.raises(QueryDeadlineError) as excinfo:
-                pool.decompose_shards(tasks)
+                pool.analyze("inline", analyzer, keyed)
         assert excinfo.value.pending > 0
 
     def test_deferred_admission_respects_query_deadline(self):
         controller = AdmissionController(AdmissionPolicy(
             capacity=1.0, max_pending=4, max_wait_seconds=30.0))
         cost = QueryCost(units=1.0, aggregate="sum", constraint_count=1,
-                         estimated_cells=1, shard_count=1,
-                         strategy="region", program_warm=False,
+                         estimated_cells=1, program_warm=False,
                          pool_warm_hit_rate=0.0)
         blocker = controller.admit(cost)
         started = time.monotonic()
@@ -266,8 +264,7 @@ class TestDeadlines:
 class TestKillRecovery:
     def test_kill_mid_batch_bit_identical_all_aggregates(self, monkeypatch):
         monkeypatch.setenv(FAULTS_ENV, "kill:task=1")
-        analyzer = PCAnalyzer(make_solver().pcset,
-                              options=BoundOptions(check_closure=False))
+        analyzer = make_analyzer()
         retried_before = counter_value("pool.tasks_retried")
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
@@ -280,7 +277,7 @@ class TestKillRecovery:
                 recovered = pool.analyze("chaos", analyzer,
                                          keyed_queries(analyzer, queries))
                 assert endpoints(recovered) == \
-                    endpoints(analyzer.analyze(query) for query in queries)
+                    serial_endpoints(analyzer, queries)
             statistics = pool.statistics
             assert statistics.tasks_retried >= len(ALL_AGGREGATES)
             assert statistics.worker_restarts >= len(ALL_AGGREGATES)
@@ -293,16 +290,19 @@ class TestKillRecovery:
             retried_before + len(ALL_AGGREGATES)
 
     def test_injected_failure_propagates_once(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "fail:task=1,message=chaos-proof")
-        tasks = shard_tasks(make_solver())
+        monkeypatch.setenv(FAULTS_ENV,
+                           "fail:kind=analyze_batch,message=chaos-proof")
+        analyzer = make_analyzer()
+        queries = aggregate_queries(AggregateFunction.SUM)
+        keyed = keyed_queries(analyzer, queries)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             with pytest.raises(Exception, match="chaos-proof"):
-                pool.decompose_shards(tasks)
+                pool.analyze("fail", analyzer, keyed)
             # The plan is exhausted: the next round is clean and serial-
             # identical — an injected error never sticks to the pool.
-            assert coverings(pool.decompose_shards(tasks)) == \
-                direct_coverings(tasks)
+            assert endpoints(pool.analyze("fail", analyzer, keyed)) == \
+                serial_endpoints(analyzer, queries)
         finally:
             pool.shutdown()
 
@@ -311,19 +311,21 @@ class TestKillRecovery:
         # checks see nothing wrong, so the loss is detected by the query
         # deadline, which abandons the round with partial progress instead
         # of hanging forever.
-        monkeypatch.setenv(FAULTS_ENV, "drop_reply:task=1")
-        tasks = shard_tasks(make_solver())
+        monkeypatch.setenv(FAULTS_ENV, "drop_reply:kind=analyze_batch")
+        analyzer = make_analyzer()
+        queries = aggregate_queries(AggregateFunction.SUM)
+        keyed = keyed_queries(analyzer, queries)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             started = time.monotonic()
             with deadline_scope(Deadline(0.75)):
                 with pytest.raises(QueryDeadlineError) as excinfo:
-                    pool.decompose_shards(tasks)
+                    pool.analyze("drop", analyzer, keyed)
             assert time.monotonic() - started < 5.0
             assert excinfo.value.pending >= 1
             # The plan is exhausted; the next round answers clean.
-            assert coverings(pool.decompose_shards(tasks)) == \
-                direct_coverings(tasks)
+            assert endpoints(pool.analyze("drop", analyzer, keyed)) == \
+                serial_endpoints(analyzer, queries)
         finally:
             pool.shutdown()
 
@@ -332,15 +334,22 @@ class TestKillRecovery:
 # Poison-task quarantine
 # --------------------------------------------------------------------- #
 class TestPoisonQuarantine:
+    """Every query below has its own region, hence its own program key, so
+    each ships as its own ``analyze_batch`` task whose position is the
+    query's index in the call."""
+
     def test_poison_task_quarantined_siblings_survive(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "kill:shard=1,count=2")
-        tasks = shard_tasks(make_solver())
+        monkeypatch.setenv(FAULTS_ENV,
+                           "kill:kind=analyze_batch,shard=1,count=2")
+        analyzer = make_analyzer()
+        queries = aggregate_queries(AggregateFunction.SUM)
+        keyed = keyed_queries(analyzer, queries)
         quarantined_before = counter_value("pool.tasks_quarantined")
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             with pytest.raises(PoisonTaskError) as excinfo:
-                # One shard per task, so shard 1 is its own (poison) task.
-                pool.decompose_shards(tasks, batch_size=1)
+                # Query 1 is its own (poison) task.
+                pool.analyze("poison", analyzer, keyed)
             error = excinfo.value
             assert error.fingerprint is not None
             assert error.fingerprint in str(error)
@@ -351,31 +360,36 @@ class TestPoisonQuarantine:
             assert statistics.tasks_quarantined >= 1
             assert statistics.tasks_retried >= 1
             # The poison plan is exhausted: the same round now completes
-            # identically to the serial enumeration on the same pool.
-            assert coverings(pool.decompose_shards(tasks, batch_size=1)) == \
-                direct_coverings(tasks)
+            # identically to the serial answers on the same pool.
+            assert endpoints(pool.analyze("poison", analyzer, keyed)) == \
+                serial_endpoints(analyzer, queries)
         finally:
             pool.shutdown()
         assert counter_value("pool.tasks_quarantined") >= \
             quarantined_before + 1
 
     def test_poison_fails_only_its_own_query(self, monkeypatch):
-        # Shard position 2 exists only in the wide query: the fault can
-        # never touch the narrow one, however the rounds interleave.
-        monkeypatch.setenv(FAULTS_ENV, "kill:shard=2,count=2")
-        solver = make_solver()
-        wide = shard_tasks(solver, shards=3)
-        narrow = shard_tasks(solver, attribute="t", shards=2)
+        # Position 2 exists only in the wide call: the fault can never
+        # touch the narrow one, however the rounds interleave.
+        monkeypatch.setenv(FAULTS_ENV,
+                           "kill:kind=analyze_batch,shard=2,count=2")
+        analyzer = make_analyzer()
+        wide = keyed_queries(analyzer,
+                             aggregate_queries(AggregateFunction.SUM))
+        narrow_queries = aggregate_queries(AggregateFunction.COUNT)[:2]
+        narrow = keyed_queries(analyzer, narrow_queries)
         assert len(wide) >= 3 and len(narrow) == 2
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             with ThreadPoolExecutor(max_workers=2) as executor:
-                poisoned = executor.submit(pool.decompose_shards, wide, 1)
-                healthy = executor.submit(pool.decompose_shards, narrow, 1)
+                poisoned = executor.submit(pool.analyze, "wide", analyzer,
+                                           wide)
+                healthy = executor.submit(pool.analyze, "narrow", analyzer,
+                                          narrow)
                 with pytest.raises(PoisonTaskError):
                     poisoned.result(timeout=60)
-                assert coverings(healthy.result(timeout=60)) == \
-                    direct_coverings(narrow)
+                assert endpoints(healthy.result(timeout=60)) == \
+                    serial_endpoints(analyzer, narrow_queries)
         finally:
             pool.shutdown()
 
@@ -389,14 +403,16 @@ class TestDeadlineEndToEnd:
         # abandon its in-flight tasks and raise far sooner than the
         # injected delays could ever finish.
         monkeypatch.setenv(FAULTS_ENV, "delay:ms=400,count=99")
-        tasks = shard_tasks(make_solver())
+        analyzer = make_analyzer()
+        keyed = keyed_queries(analyzer,
+                              aggregate_queries(AggregateFunction.SUM))
         exceeded_before = counter_value("queries.deadline_exceeded")
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
             started = time.monotonic()
             with deadline_scope(Deadline(0.05)):
                 with pytest.raises(QueryDeadlineError) as excinfo:
-                    pool.decompose_shards(tasks)
+                    pool.analyze("delay", analyzer, keyed)
             assert time.monotonic() - started < 1.0
             error = excinfo.value
             assert error.deadline == pytest.approx(0.05)
@@ -409,18 +425,15 @@ class TestDeadlineEndToEnd:
         assert counter_value("queries.deadline_exceeded") == exceeded_before
 
     def test_solver_deadline_option(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "delay:ms=400,count=99")
-        solver = make_solver(deadline_seconds=0.05, solve_workers=WORKERS)
-        pool = WorkerPool(max_workers=WORKERS, mode="process")
-        solver._worker_pool = pool
+        # The enumeration alone outlasts the budget, so the solver's
+        # pre-solve check fires instead of solving.
+        slow_decompositions(monkeypatch)
+        solver = make_solver(deadline_seconds=0.05)
         exceeded_before = counter_value("queries.deadline_exceeded")
-        try:
-            started = time.monotonic()
-            with pytest.raises(QueryDeadlineError):
-                solver.bound(AggregateFunction.SUM, "v")
-            assert time.monotonic() - started < 1.0
-        finally:
-            pool.shutdown()
+        started = time.monotonic()
+        with pytest.raises(QueryDeadlineError):
+            solver.bound(AggregateFunction.SUM, "v")
+        assert time.monotonic() - started < 1.0
         assert counter_value("queries.deadline_exceeded") == \
             exceeded_before + 1
 
@@ -447,7 +460,7 @@ class TestDegradation:
         """A solve that raises degrades to the program's worst-case range."""
         exact = make_solver().bound(AggregateFunction.SUM, "v")
         degraded_before = counter_value("queries.degraded")
-        solver = make_solver(degrade="worst-case", solve_workers=WORKERS)
+        solver = make_solver(degrade="worst-case")
         fail_every_solve(monkeypatch)
         result = solver.bound(AggregateFunction.SUM, "v")
         # Sound: the degraded range contains the exact one.
@@ -465,7 +478,7 @@ class TestDegradation:
             make_solver().bound(AggregateFunction.SUM, "v")
 
     def test_unknown_degrade_policy_rejected(self):
-        solver = make_solver(degrade="optimistic", solve_workers=WORKERS)
+        solver = make_solver(degrade="optimistic")
         with pytest.raises(ReproError, match="degrade"):
             solver.bound(AggregateFunction.SUM, "v")
 
@@ -480,10 +493,9 @@ class TestServiceFaultTolerance:
         return relation, pcset
 
     def test_service_deadline_counted_and_summarised(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "delay:ms=400,count=99")
+        slow_decompositions(monkeypatch)
         relation, pcset = self.make_scenario()
-        options = BoundOptions(check_closure=False, solve_workers=WORKERS,
-                               shard_strategy="region", deadline_seconds=0.05)
+        options = BoundOptions(check_closure=False, deadline_seconds=0.05)
         with ContingencyService(max_workers=WORKERS, pool_mode="process",
                                 default_options=options) as service:
             service.register("chaos", pcset, observed=relation)
@@ -498,8 +510,7 @@ class TestServiceFaultTolerance:
 
     def test_service_degraded_report_counted(self, monkeypatch):
         relation, pcset = self.make_scenario()
-        options = BoundOptions(check_closure=False, solve_workers=WORKERS,
-                               degrade="worst-case")
+        options = BoundOptions(check_closure=False, degrade="worst-case")
         with ContingencyService(max_workers=WORKERS, pool_mode="process",
                                 default_options=options) as service:
             service.register("chaos", pcset, observed=relation)
@@ -519,18 +530,24 @@ class TestServiceFaultTolerance:
             assert "1 degraded answer(s)" in statistics.summary()
 
     def test_pool_fault_counters_reach_service_summary(self, monkeypatch):
+        # The pinned path is the batch's trip through the process pool; a
+        # persistent tier would answer it without dispatching.
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv(FAULTS_ENV, "kill:task=1")
         relation, pcset = self.make_scenario()
-        options = BoundOptions(check_closure=False, solve_workers=WORKERS,
-                               shard_strategy="region")
+        options = BoundOptions(check_closure=False)
+        queries = aggregate_queries(AggregateFunction.SUM)
         with ContingencyService(max_workers=WORKERS, pool_mode="process",
                                 default_options=options) as service:
             service.register("chaos", pcset, observed=relation)
-            report = service.analyze("chaos", ContingencyQuery.sum("v"))
-            exact = PCAnalyzer(pcset, observed=relation).analyze(
-                ContingencyQuery.sum("v"))
-            assert report.lower == pytest.approx(exact.lower, rel=1e-9)
-            assert report.upper == pytest.approx(exact.upper, rel=1e-9)
+            reports = service.execute_batch("chaos", queries).reports
+            exact = PCAnalyzer(pcset, observed=relation, options=options)
+            for query, report in zip(queries, reports):
+                expected = exact.analyze(query)
+                assert report.lower == pytest.approx(expected.lower,
+                                                     rel=1e-9)
+                assert report.upper == pytest.approx(expected.upper,
+                                                     rel=1e-9)
             statistics = service.statistics()
             assert statistics.worker_pool["tasks_retried"] >= 1
             assert statistics.worker_pool["worker_restarts"] >= 1

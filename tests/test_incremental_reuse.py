@@ -1,11 +1,8 @@
 """Tests for incremental, versioned result reuse.
 
-Three layers, each checked for the same invariant — reuse is *provably
+Two layers, each checked for the same invariant — reuse is *provably
 bit-identical* to cold computation:
 
-* slice-level decomposition caching: a shifted query region over a
-  region-sharded plan recomputes only the uncovered slices and still
-  produces exactly the serial answer, on all five aggregates;
 * lineage-aware fingerprints: :meth:`Relation.append` remembers its deltas,
   ``fingerprint_relation`` hashes only the delta bytes, and the digest
   equals a cold full-content pass;
@@ -19,19 +16,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.bounds import BoundOptions
-from repro.core.constraints import (
-    FrequencyConstraint,
-    PredicateConstraint,
-    ValueConstraint,
-)
 from repro.core.engine import ContingencyQuery, PCAnalyzer
-from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.exceptions import ReproError
-from repro.obs.metrics import get_registry
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
-from repro.service import ContingencyService, LRUCache
+from repro.service import ContingencyService
 from repro.service.fingerprint import (
     RelationVersion,
     fingerprint_relation,
@@ -66,83 +56,7 @@ def assert_reports_identical(actual, expected):
 
 
 # --------------------------------------------------------------------- #
-# Layer 1: slice-level decomposition caching
-# --------------------------------------------------------------------- #
-def chained_pcset() -> PredicateConstraintSet:
-    """One overlap component spanning utc in [20, 78] (forces region cuts)."""
-    constraints = []
-    for index in range(8):
-        low = 20.0 + 6 * index
-        constraints.append(PredicateConstraint(
-            Predicate.range("utc", low, low + 10),
-            ValueConstraint({"price": (1.0, 50.0 + index)}),
-            FrequencyConstraint(0, 10 + index), name=f"c{index}"))
-    return PredicateConstraintSet(constraints)
-
-
-SLICED = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                      avg_max_iterations=16, solve_workers=4,
-                      shard_strategy="region")
-
-
-class TestSliceReuse:
-    def test_shifted_region_reuses_interior_slices(self):
-        """Acceptance: slice hits > 0, recomputed < total, bit-identical."""
-        registry = get_registry()
-        cache = LRUCache(max_entries=256, name="decomposition")
-        warm = PCAnalyzer(chained_pcset(), options=SLICED,
-                          decomposition_cache=cache)
-        warm.analyze(ContingencyQuery.count(Predicate.range("utc", 10, 90)))
-
-        hits_before = registry.counter("cache.slice_hits").value
-        recomputed_before = registry.counter("cache.slice_recomputed").value
-        shifted = Predicate.range("utc", 12, 92)
-        reports = [warm.analyze(maker(shifted)) for maker in ALL_AGGREGATES]
-
-        hits = registry.counter("cache.slice_hits").value - hits_before
-        recomputed = (registry.counter("cache.slice_recomputed").value
-                      - recomputed_before)
-        assert hits > 0  # interior slices came from the first region
-        assert recomputed > 0  # the moved edges were genuinely recomputed
-        assert recomputed < hits + recomputed  # partial, not full, recompute
-
-        cold = PCAnalyzer(chained_pcset(), options=SLICED)
-        for maker, report in zip(ALL_AGGREGATES, reports):
-            assert_reports_identical(report, cold.analyze(maker(shifted)))
-
-    def test_identical_region_is_a_whole_region_hit(self):
-        """Equal regions skip the pooled slice path entirely (plain hit)."""
-        registry = get_registry()
-        cache = LRUCache(max_entries=256, name="decomposition")
-        analyzer = PCAnalyzer(chained_pcset(), options=SLICED,
-                              decomposition_cache=cache)
-        region = Predicate.range("utc", 10, 90)
-        analyzer.analyze(ContingencyQuery.count(region))
-        hits_before = registry.counter("cache.slice_hits").value
-        analyzer.analyze(ContingencyQuery.sum(
-            "price", Predicate.range("utc", 10, 90)))
-        # Served from the whole-region decomposition entry: no slice events.
-        assert registry.counter("cache.slice_hits").value == hits_before
-
-    def test_sliced_answers_match_serial_solver(self):
-        """The slice-cached sharded path equals the serial single-program
-        path on both the warm and the cold region."""
-        serial_options = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                                      avg_max_iterations=16)
-        cache = LRUCache(max_entries=256, name="decomposition")
-        sharded = PCAnalyzer(chained_pcset(), options=SLICED,
-                             decomposition_cache=cache)
-        serial = PCAnalyzer(chained_pcset(), options=serial_options)
-        for region in (Predicate.range("utc", 10, 90),
-                       Predicate.range("utc", 12, 92),
-                       Predicate.range("utc", 30, 70)):
-            for maker in ALL_AGGREGATES:
-                assert_reports_identical(sharded.analyze(maker(region)),
-                                         serial.analyze(maker(region)))
-
-
-# --------------------------------------------------------------------- #
-# Layer 2: append lineage + incremental fingerprints
+# Layer 1: append lineage + incremental fingerprints
 # --------------------------------------------------------------------- #
 class TestAppendLineage:
     def test_append_records_lineage(self):
@@ -225,7 +139,7 @@ class TestAppendLineage:
 
 
 # --------------------------------------------------------------------- #
-# Layer 3: delta-aware report migration
+# Layer 2: delta-aware report migration
 # --------------------------------------------------------------------- #
 class TestDeltaInvalidation:
     def test_only_intersecting_reports_invalidated(self):
@@ -311,20 +225,21 @@ class TestDeltaInvalidation:
             == before.observed_value + 1
         service.shutdown()
 
-    @pytest.mark.parametrize("strategy", ["region", "auto"])
-    def test_appended_session_matches_cold_analyzer(self, strategy):
+    @pytest.mark.parametrize("path", ["auto-pool", "region-batch"])
+    def test_appended_session_matches_cold_analyzer(self, path):
         """Property: after an append, every aggregate over every probed
-        region is bit-identical to a cold analyzer on the full data."""
+        region is bit-identical to a cold analyzer on the full data, whether
+        the queries are answered one by one on the auto-mode pool or as one
+        region-grouped batch."""
         options = BoundOptions(check_closure=False, avg_tolerance=1e-4,
-                               avg_max_iterations=16, solve_workers=2,
-                               shard_strategy=strategy)
+                               avg_max_iterations=16)
         rows = [(10.0, 5.0), (10.5, 15.0), (11.2, 25.0), (12.5, 35.0)]
         delta = [(12.6, 9.0), (10.1, 2.0)]
         regions = [Predicate.range("utc", 11, 12),
                    Predicate.range("utc", 12, 13),
                    Predicate.range("utc", 11, 13)]
 
-        service = ContingencyService(max_workers=2)
+        service = ContingencyService(max_workers=2, pool_mode="auto")
         service.register(
             "outage", build_pcset(),
             observed=Relation.from_rows(observed_schema(), rows),
@@ -338,11 +253,14 @@ class TestDeltaInvalidation:
             build_pcset(),
             observed=Relation.from_rows(observed_schema(), rows + delta),
             options=options)
-        for region in regions:
-            for maker in ALL_AGGREGATES:
-                assert_reports_identical(service.analyze("outage",
-                                                         maker(region)),
-                                         cold.analyze(maker(region)))
+        queries = [maker(region) for region in regions
+                   for maker in ALL_AGGREGATES]
+        if path == "region-batch":
+            reports = service.execute_batch("outage", queries).reports
+        else:
+            reports = [service.analyze("outage", query) for query in queries]
+        for query, report in zip(queries, reports):
+            assert_reports_identical(report, cold.analyze(query))
         service.shutdown()
 
     def test_append_with_persistent_store_migrates_on_disk(self, tmp_path):

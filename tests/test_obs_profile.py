@@ -1,4 +1,4 @@
-"""EXPLAIN ANALYZE profiles: tree building, skew, JSON, service surface."""
+"""EXPLAIN ANALYZE profiles: tree building, totals, JSON, service surface."""
 
 from __future__ import annotations
 
@@ -28,17 +28,17 @@ def make_trace(spans: list[Span], trace_id: str = "t-1") -> Trace:
     return trace
 
 
-def sharded_trace() -> Trace:
-    """root -> solve -> three shard spans with solver-call tallies."""
+def pooled_trace() -> Trace:
+    """root -> batch -> three worker spans with solver-call tallies."""
     return make_trace([
         Span("1", None, "query", 0.0, 10.0),
-        Span("2", "1", "solve.sharded", 1.0, 9.0),
+        Span("2", "1", "batch.execute", 1.0, 9.0),
         Span("3", "2", "pool.solve", 1.0, 5.0,
-             {"shard": 0, "solver_calls": 4}),
+             {"worker": 0, "solver_calls": 4}),
         Span("4", "2", "pool.solve", 1.0, 3.0,
-             {"shard": 1, "solver_calls": 2}),
+             {"worker": 1, "solver_calls": 2}),
         Span("5", "2", "pool.solve", 1.0, 3.0,
-             {"shard": 2, "solver_calls": 2}),
+             {"worker": 2, "solver_calls": 2}),
     ])
 
 
@@ -69,56 +69,40 @@ class TestTreeBuilding:
         assert QueryProfile.from_trace(Trace("empty")) is None
 
     def test_node_find_and_total(self):
-        profile = QueryProfile.from_trace(sharded_trace())
-        assert profile.root.find("solve.sharded") is not None
+        profile = QueryProfile.from_trace(pooled_trace())
+        assert profile.root.find("batch.execute") is not None
         assert len(profile.root.find_all("pool.solve")) == 3
         assert profile.root.total("solver_calls") == 8.0
 
 
 class TestDerivedAggregates:
     def test_solver_calls_and_wall_seconds(self):
-        profile = QueryProfile.from_trace(sharded_trace())
+        profile = QueryProfile.from_trace(pooled_trace())
         assert profile.solver_calls == 8.0
         assert profile.wall_seconds == 10.0
 
-    def test_shard_skew_is_max_over_mean(self):
-        profile = QueryProfile.from_trace(sharded_trace())
-        # Shard durations 4, 2, 2 -> mean 8/3, skew 4/(8/3) = 1.5.
-        assert sorted(profile.shard_times()) == [2.0, 2.0, 4.0]
-        assert profile.shard_skew() == pytest.approx(1.5)
-
-    def test_no_shards_means_no_skew(self):
-        trace = make_trace([Span("1", None, "query", 0.0, 1.0)])
-        profile = QueryProfile.from_trace(trace)
-        assert profile.shard_times() == []
-        assert profile.shard_skew() is None
-
-    def test_render_includes_skew_and_totals(self):
-        rendered = QueryProfile.from_trace(sharded_trace()).render()
+    def test_render_includes_totals_and_attributes(self):
+        rendered = QueryProfile.from_trace(pooled_trace()).render()
         assert "solver calls 8" in rendered
-        assert "shard-time skew 1.50x (max/mean)" in rendered
-        assert "shard=1" in rendered
+        assert "worker=1" in rendered
         assert "100.0%" in rendered
 
 
 class TestJsonRoundTrip:
     def test_to_dict_schema_and_fields(self):
-        payload = QueryProfile.from_trace(sharded_trace()).to_dict()
+        payload = QueryProfile.from_trace(pooled_trace()).to_dict()
         assert payload["schema"] == PROFILE_SCHEMA
         assert payload["solver_calls"] == 8.0
-        assert payload["shard_count"] == 3
-        assert payload["shard_skew"] == pytest.approx(1.5)
         assert payload["tree"]["name"] == "query"
 
     def test_export_json_round_trips(self, tmp_path):
-        profile = QueryProfile.from_trace(sharded_trace())
+        profile = QueryProfile.from_trace(pooled_trace())
         path = tmp_path / "profile.json"
         payload = profile.export_json(path)
         assert json.loads(path.read_text()) == json.loads(payload)
         restored = QueryProfile.from_json(payload)
         assert restored.trace_id == profile.trace_id
         assert restored.solver_calls == profile.solver_calls
-        assert restored.shard_skew() == pytest.approx(profile.shard_skew())
         assert restored.root.to_dict() == profile.root.to_dict()
 
     def test_from_dict_rejects_unknown_schema(self):
@@ -127,7 +111,7 @@ class TestJsonRoundTrip:
 
     def test_node_round_trip(self):
         node = ProfileNode(name="x", span_id="1", start=0.0, duration=1.0,
-                           attributes={"shard": 2},
+                           attributes={"worker": 2},
                            children=[ProfileNode("y", "2", 0.1, 0.5)])
         assert ProfileNode.from_dict(node.to_dict()) == node
 

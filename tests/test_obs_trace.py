@@ -14,6 +14,7 @@ from repro.core.constraints import (
     PredicateConstraint,
     ValueConstraint,
 )
+from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.pcset import PredicateConstraintSet
 from repro.core.predicates import Predicate
 from repro.obs.trace import Span, Trace, Tracer, _NOOP, get_tracer
@@ -31,9 +32,25 @@ def chain_pcset(count: int = 6) -> PredicateConstraintSet:
         for i in range(count)])
 
 
-def region_options(**overrides) -> BoundOptions:
-    return BoundOptions(check_closure=False, solve_workers=3,
-                        shard_strategy="region", **overrides)
+def pooled_sums(count: int = 3) -> tuple[PCAnalyzer, list[tuple]]:
+    """An analyzer over :func:`chain_pcset` and ``pool.analyze`` entries
+    for ``count`` SUM queries over distinct regions (one program each)."""
+    analyzer = PCAnalyzer(chain_pcset(6),
+                          options=BoundOptions(check_closure=False))
+    solver = analyzer.solver
+    keyed = []
+    for index in range(count):
+        query = ContingencyQuery.sum("v", Predicate.range(
+            "t", float(index), index + 3.0))
+        keyed.append((solver.program_key(query.region, query.attribute),
+                      solver.program(query.region, query.attribute), query,
+                      solver.resolved_early_stop_depth(query.region,
+                                                       query.attribute)))
+    return analyzer, keyed
+
+
+def endpoints(reports) -> list[tuple]:
+    return [(report.lower, report.upper) for report in reports]
 
 
 # --------------------------------------------------------------------- #
@@ -215,20 +232,19 @@ class TestThreadAttach:
 # Real process-pool re-parenting
 # --------------------------------------------------------------------- #
 class TestProcessPoolReParenting:
-    def test_sharded_solve_yields_one_tree_with_per_shard_spans(self):
-        pcset = chain_pcset(6)
+    def test_pooled_batch_yields_one_tree_with_per_worker_spans(self):
+        analyzer, keyed = pooled_sums()
         tracer = get_tracer()
         with WorkerPool(max_workers=3, mode="process",
                         name="trace-test") as pool:
-            solver = PCBoundSolver(pcset, region_options(), worker_pool=pool)
             with tracer.trace("query", force=True) as trace:
-                solver.bound(AggregateFunction.SUM, "v")
+                pool.analyze("trace", analyzer, keyed)
         spans = list(trace)
-        shard_spans = [span for span in spans
-                       if "shard" in span.attributes]
-        assert len(shard_spans) >= 2  # region split fanned out
-        shard_ids = {span.attributes["shard"] for span in shard_spans}
-        assert shard_ids == set(range(len(shard_spans)))
+        task_spans = [span for span in spans
+                      if span.name == "pool.analyze_batch"]
+        assert len(task_spans) >= 2  # the batch fanned out
+        assert {span.attributes["worker"] for span in task_spans} <= \
+            set(range(3))
         # Worker spans carry their pid prefix — genuinely cross-process —
         # and every adopted span links back into this trace's tree.
         coordinator_prefix = f"{os.getpid():x}-"
@@ -241,11 +257,12 @@ class TestProcessPoolReParenting:
         for span in spans:
             if span.parent_id is not None:
                 assert span.parent_id in ids, f"dangling parent: {span}"
-        # Per-shard decompose spans tally their SAT probe calls.
-        decomposes = [span for span in spans if span.name == "pool.decompose"]
-        assert decomposes
+        # Worker-side solves tally their solver calls.
+        solves = [span for span in worker_spans
+                  if span.name == "solve.serial"]
+        assert solves
         assert all(span.attributes.get("solver_calls", 0) > 0
-                   for span in decomposes)
+                   for span in solves)
         assert all(span.duration is not None and span.duration >= 0
                    for span in spans)
 
@@ -255,20 +272,18 @@ class TestProcessPoolReParenting:
         """
         from repro.obs.profile import QueryProfile
 
-        pcset = chain_pcset(6)
+        analyzer, keyed = pooled_sums()
         tracer = get_tracer()
         with WorkerPool(max_workers=3, mode="process",
                         name="trace-kill-test") as pool:
-            solver = PCBoundSolver(pcset, region_options(), worker_pool=pool)
-            baseline = solver.bound(AggregateFunction.SUM, "v")
+            baseline = endpoints(pool.analyze("trace-kill", analyzer, keyed))
             victim = pool.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             time.sleep(0.1)
-            fresh = PCBoundSolver(pcset, region_options(), worker_pool=pool)
             with tracer.trace("query", force=True) as trace:
-                recovered = fresh.bound(AggregateFunction.SUM, "v")
-        assert (recovered.lower, recovered.upper) == \
-            (baseline.lower, baseline.upper)
+                recovered = endpoints(pool.analyze("trace-kill", analyzer,
+                                                   keyed))
+        assert recovered == baseline
         assert pool.statistics.worker_restarts >= 1
         # Tracer state fully unwound, trace builds into a valid profile.
         assert tracer.current_trace is None

@@ -8,8 +8,8 @@ threaded tests cannot falsify:
   compilation per distinct key (duplicate compiles beyond genuine cache
   misses are a correctness bug in the locking, not just wasted work);
 * **range stability** — concurrent execution returns ranges identical to a
-  serial run of the same queries, on every path (service batch, direct
-  solver sharding, raw cache traffic).
+  serial run of the same queries, on every path (service batch, one solver
+  shared across threads, raw cache traffic).
 
 The quick variants run in tier-1; the heavier ``stress``-marked variants
 (deselected by default, selected by the CI stress job via ``-m stress``)
@@ -137,15 +137,16 @@ def test_lru_cache_deduplicates_racing_factories():
     assert calls == {key: 1 for key in range(16)}
 
 
-def test_sharded_solver_is_thread_safe():
-    """Concurrent sharded bounds agree with each other and with serial."""
+def test_shared_solver_is_thread_safe():
+    """Concurrent bounds on one shared solver agree with each other and
+    with a serial solver's."""
     _, pcset = stress_pcset()
     serial = PCBoundSolver(pcset, BoundOptions())
-    sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3))
+    shared = PCBoundSolver(pcset, BoundOptions())
     queries = mixed_queries(regions=3)
 
     def solve_all(_worker: int):
-        return [sharded.bound(q.aggregate, q.attribute, q.region)
+        return [shared.bound(q.aggregate, q.attribute, q.region)
                 for q in queries]
 
     with ThreadPoolExecutor(max_workers=worker_width()) as pool:

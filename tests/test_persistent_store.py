@@ -54,7 +54,7 @@ class TestPersistentStore:
         store = PersistentStore(tmp_path)
         store.write("report", ("k",), "value")
         # Corrupt the pickled value in place: the row decodes no more.
-        digest, _ = PersistentStore._encode_key(("k",))
+        digest = PersistentStore._key_digest(("k",))
         connection = sqlite3.connect(str(store.path))
         connection.execute(
             "UPDATE entries SET value = ? WHERE kind = ? AND key = ?",
@@ -97,12 +97,29 @@ class TestPersistentStore:
 
     def test_version_1_store_opens_empty_without_error(self, tmp_path):
         """Version-1 files hold AVG reports from the retired bisection."""
-        assert SCHEMA_VERSION == 2
+        assert SCHEMA_VERSION == 3
         store = PersistentStore(tmp_path)
         store.write("report", ("k",), "bisection-era value")
         store.close()
         connection = sqlite3.connect(str(store.path))
         connection.execute("PRAGMA user_version = 1")
+        connection.commit()
+        connection.close()
+
+        reopened = PersistentStore(tmp_path)
+        assert reopened.read("report", ("k",)) is None  # a cold miss
+        assert reopened.entry_count() == 0
+        assert reopened.statistics.errors == 0  # dropped, not an error
+        reopened.close()
+
+    def test_version_2_store_opens_empty_without_error(self, tmp_path):
+        """Version-2 files key rows by the key's pickle, which is not
+        stable across hash seeds; they are dropped, not orphaned."""
+        store = PersistentStore(tmp_path)
+        store.write("report", ("k",), "pickle-keyed value")
+        store.close()
+        connection = sqlite3.connect(str(store.path))
+        connection.execute("PRAGMA user_version = 2")
         connection.commit()
         connection.close()
 
@@ -160,6 +177,56 @@ class TestPersistentStore:
         assert default_cache_dir() == "/tmp/somewhere"
         monkeypatch.setenv("REPRO_CACHE_DIR", "   ")
         assert default_cache_dir() is None
+
+
+#: Prints the store's lookup digest of one key per predicate kind.  Run in
+#: fresh interpreters under different hash seeds, it must print the same
+#: lines every time.
+_DIGEST_SCRIPT = """
+from repro.core.predicates import Predicate
+from repro.service.store import PersistentStore
+
+namespace = ("plan", "namespace-fingerprint", True, None, None)
+regions = {
+    "range": Predicate.range("utc", 10.0, 20.0),
+    "integral": Predicate.range("hour", 3, 9, integral=True),
+    "categorical": Predicate.isin(
+        "device", ["alpha", "beta", "gamma", "delta", "epsilon"]),
+    "open-ended": Predicate.range("price", high=50.0),
+    "conjunction": Predicate.isin(
+        "branch", ["Chicago", "Boston", "Austin"]).conjoin(
+            Predicate.range("utc", 0.0, 24.0)),
+}
+for name, region in regions.items():
+    digest = PersistentStore._key_digest(("decomposition", namespace, region))
+    print(name, digest.hex())
+print("set", PersistentStore._key_digest(
+    ("report", frozenset({"a", "b", "c", "d", "e", "f"}))).hex())
+"""
+
+
+def _store_digests(seed: str) -> str:
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    source = Path(__file__).resolve().parents[1] / "src"
+    environment = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=str(source))
+    completed = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT],
+                               env=environment, capture_output=True,
+                               text=True, timeout=60, check=True)
+    return completed.stdout
+
+
+class TestSeedStableKeys:
+    def test_store_keys_are_identical_across_hash_seeds(self):
+        """Range, integral, categorical and open-ended regions address the
+        same store row in every process, whatever its hash seed."""
+        first = _store_digests("1")
+        assert len(first.splitlines()) == 6
+        assert _store_digests("2") == first
 
 
 class TestLRUCacheStoreIntegration:

@@ -5,19 +5,18 @@ missing partition satisfies the predicate-constraint set, the true aggregate
 answer lies inside the returned result range.  This harness generates seeded
 synthetic datasets, derives constraint sets from the missing partition (so
 satisfaction holds by construction), fires randomized queries across every
-aggregate, and asserts the contract on each execution path the parallel
-fan-out work introduced:
+aggregate, and asserts the contract on every execution path:
 
 * the serial compiled-program pipeline (the baseline),
-* the fan-out path (``solve_workers > 1``) — which additionally must
-  return ranges *bit-identical* to serial on exact enumeration,
+* the worker pool (batches of queries answered on process workers) — which
+  additionally must return ranges *bit-identical* to serial,
 * the service batch executor (thread fan-out through the caches),
 * the cross-backend verification path (ranges intersected across two
   backends must still contain the truth and equal the serial range).
 
 Scenarios deliberately cover the three structural regimes: disjoint
-partitions (the fast greedy path, many shards), overlapping boxes (coupled
-MILPs, usually one component), and mandatory-row partitions (exact counts,
+partitions (the fast greedy path), overlapping boxes (coupled MILPs,
+usually one overlap component), and mandatory-row partitions (exact counts,
 non-trivial lower bounds and forced extrema).
 """
 
@@ -117,28 +116,27 @@ def assert_same_range(first, second, query, label: str) -> None:
 
 
 def assert_identical_range(first, second, query, label: str) -> None:
-    """Bit-identical endpoints: every fan-out solves the serial program."""
+    """Bit-identical endpoints: every pool path solves the serial program."""
     assert (first.lower, first.upper) == (second.lower, second.upper), (
         label, query.describe(), str(first), str(second))
+
+
+def assert_serial_sound(seed: int, kind: str) -> None:
+    """Truth ∈ range on the serial path, for every scenario query."""
+    _, _, missing, pcset, queries = scenario(seed, kind)
+    serial = PCBoundSolver(pcset, BoundOptions())
+    for query in queries:
+        truth = query.ground_truth(missing)
+        serial_range = serial.bound(query.aggregate, query.attribute,
+                                    query.region)
+        assert_contains(serial_range, truth, query, "serial")
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_serial_and_sharded_ranges_sound_and_identical(seed, kind):
-    """Truth ∈ range on the serial and sharded paths, and the paths agree."""
-    _, _, missing, pcset, queries = scenario(seed, kind)
-    serial = PCBoundSolver(pcset, BoundOptions())
-    sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3))
-    for query in queries:
-        truth = query.ground_truth(missing)
-        serial_range = serial.bound(query.aggregate, query.attribute,
-                                    query.region)
-        sharded_range = sharded.bound(query.aggregate, query.attribute,
-                                      query.region)
-        assert_contains(serial_range, truth, query, "serial")
-        assert_contains(sharded_range, truth, query, "sharded")
-        assert_identical_range(serial_range, sharded_range, query,
-                               "sharded vs serial")
+    """Truth ∈ range on the serial path (the one path every query takes)."""
+    assert_serial_sound(seed, kind)
 
 
 @pytest.mark.parametrize("seed", [303])
@@ -147,18 +145,10 @@ def test_combined_ranges_contain_full_relation_truth(seed, kind):
     """With an observed partition, reported ranges cover the full relation."""
     relation, observed, _, pcset, queries = scenario(seed, kind)
     analyzer = PCAnalyzer(pcset, observed=observed, options=BoundOptions())
-    parallel_analyzer = PCAnalyzer(pcset, observed=observed,
-                                   options=BoundOptions(solve_workers=3))
     for query in queries:
         truth = query.ground_truth(relation)
         report = analyzer.analyze(query)
         assert_contains(report.result_range, truth, query, "serial analyze")
-        parallel_report = parallel_analyzer.analyze(query)
-        assert_contains(parallel_report.result_range, truth, query,
-                        "sharded analyze")
-        assert_identical_range(report.result_range,
-                               parallel_report.result_range, query,
-                               "sharded analyze vs serial")
 
 
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping"])
@@ -203,18 +193,13 @@ def test_cross_backend_verification_sound_and_identical(kind):
 @pytest.mark.parametrize("seed", [707, 808])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
-    """AVG on a sharded solver equals AVG on a serial one, and contains
-    the truth.
+    """AVG ranges on the serial path contain the truth.
 
-    The parametric search couples every cell through one shared λ, and a
-    ``solve_workers=3`` solver runs it on the serial program, so its range
-    must equal the serial solver's exactly.
     Covered regimes: no observed partition (the floored search), an
     observed partition (``known_count > 0``), and randomized regions.
     """
     relation, observed, missing, pcset, _ = scenario(seed, kind)
     serial = PCBoundSolver(pcset, BoundOptions())
-    sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3))
     rng = np.random.default_rng(seed)
     regions = [None] + [Predicate.range("t", low, low + 30.0)
                         for low in rng.uniform(0.0, 60.0, 3)]
@@ -222,117 +207,75 @@ def test_sharded_avg_matches_serial_and_stays_sound(seed, kind):
         query = ContingencyQuery.avg("v", region)
         truth = query.ground_truth(missing)
         serial_range = serial.bound(AggregateFunction.AVG, "v", region)
-        sharded_range = sharded.bound(AggregateFunction.AVG, "v", region)
-        assert_contains(sharded_range, truth, query, "sharded AVG")
-        assert_identical_range(serial_range, sharded_range, query,
-                               "sharded AVG vs serial")
+        assert_contains(serial_range, truth, query, "serial AVG")
     # With an observed partition the search carries (known_sum, known_count)
     # — the unfloored regime, whose certified endpoint divides by
     # known_count rather than by the floor row's 1.
     serial_analyzer = PCAnalyzer(pcset, observed=observed,
                                  options=BoundOptions())
-    sharded_analyzer = PCAnalyzer(pcset, observed=observed,
-                                  options=BoundOptions(solve_workers=3))
     for region in regions:
         query = ContingencyQuery.avg("v", region)
         truth = query.ground_truth(relation)
         serial_report = serial_analyzer.analyze(query)
-        sharded_report = sharded_analyzer.analyze(query)
-        assert_contains(sharded_report.result_range, truth, query,
-                        "sharded AVG analyze")
-        assert_identical_range(serial_report.result_range,
-                               sharded_report.result_range, query,
-                               "sharded AVG analyze vs serial")
+        assert_contains(serial_report.result_range, truth, query,
+                        "serial AVG analyze")
+
+
+def pooled_reports(pool, analyzer: PCAnalyzer, queries) -> list:
+    """``queries`` answered through ``pool`` (one program per pair)."""
+    solver = analyzer.solver
+    keyed = [(solver.program_key(query.region, query.attribute),
+              solver.program(query.region, query.attribute), query,
+              solver.resolved_early_stop_depth(query.region,
+                                               query.attribute))
+             for query in queries]
+    return pool.analyze("soundness", analyzer, keyed)
 
 
 def test_sharded_avg_through_process_pool_matches_serial():
-    """The same equality holds for a solver attached to a process pool."""
+    """AVG answered on a process worker equals the serial solver's AVG."""
     from repro.parallel.pool import WorkerPool
 
     _, _, missing, pcset, _ = scenario(909, "mandatory")
     serial = PCBoundSolver(pcset, BoundOptions())
+    analyzer = PCAnalyzer(pcset, options=BoundOptions())
+    queries = [ContingencyQuery.avg("v", None),
+               ContingencyQuery.avg("v", Predicate.range("t", 20.0, 60.0))]
     with WorkerPool(max_workers=3, mode="process", name="avg-test") as pool:
-        sharded = PCBoundSolver(pcset, BoundOptions(solve_workers=3),
-                                worker_pool=pool)
-        query = ContingencyQuery.avg("v", None)
+        reports = pooled_reports(pool, analyzer, queries)
+        assert pool.statistics.tasks_dispatched > 0
+    for query, report in zip(queries, reports):
         truth = query.ground_truth(missing)
-        serial_range = serial.bound(AggregateFunction.AVG, "v")
-        pooled_range = sharded.bound(AggregateFunction.AVG, "v")
-        assert_contains(pooled_range, truth, query, "process-pool AVG")
-        assert_identical_range(serial_range, pooled_range, query,
+        serial_range = serial.bound(AggregateFunction.AVG, "v", query.region)
+        assert_contains(report.missing_range, truth, query,
+                        "process-pool AVG")
+        assert_identical_range(serial_range, report.missing_range, query,
                                "process-pool AVG vs serial")
 
 
 @pytest.mark.parametrize("seed", [111, 222])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_region_sharded_matches_serial(seed, kind):
-    """Region-sharded == serial, truth inside both.
-
-    The region splitter's contract is *identity*: its shards merge at the
-    cell level, in serial cell order, into the serial program, so every
-    aggregate — AVG included — must return the serial range bit-for-bit.
-    """
-    _, _, missing, pcset, queries = scenario(seed, kind)
-    serial = PCBoundSolver(pcset, BoundOptions())
-    region = PCBoundSolver(pcset, BoundOptions(
-        solve_workers=3, shard_strategy="region"))
-    for query in queries:
-        truth = query.ground_truth(missing)
-        serial_range = serial.bound(query.aggregate, query.attribute,
-                                    query.region)
-        region_range = region.bound(query.aggregate, query.attribute,
-                                    query.region)
-        assert_contains(serial_range, truth, query, "serial")
-        assert_contains(region_range, truth, query, "region-sharded")
-        assert_identical_range(serial_range, region_range, query,
-                               "region-sharded vs serial")
-
-
-def test_region_sharding_engages_on_one_component_sets():
-    """The acceptance scenario: a one-component set actually fans out.
-
-    The overlapping scenario's predicates form one overlap component; the
-    region splitter must still produce >= 2 shards, dispatch their
-    enumerations to the worker pool, and return serial ranges for every
-    aggregate.
-    """
-    from repro.parallel.pool import WorkerPool
-
-    _, _, missing, pcset, _ = scenario(131, "overlapping")
-    serial = PCBoundSolver(pcset, BoundOptions())
-    with WorkerPool(max_workers=3, mode="process",
-                    name="acceptance") as pool:
-        region = PCBoundSolver(pcset, BoundOptions(
-            solve_workers=3, shard_strategy="region"), worker_pool=pool)
-        sharded = region.sharded_plan(None, "v")
-        assert sharded.strategy == "region" and len(sharded) >= 2
-        before = pool.statistics.tasks_dispatched
-        for aggregate, attribute in AGGREGATES:
-            query = ContingencyQuery(aggregate, attribute, None)
-            truth = query.ground_truth(missing)
-            serial_range = serial.bound(aggregate, attribute)
-            region_range = region.bound(aggregate, attribute)
-            assert_contains(region_range, truth, query, "region acceptance")
-            assert_identical_range(serial_range, region_range, query,
-                                   "region acceptance vs serial")
-        assert pool.statistics.tasks_dispatched >= before + 2
+    """Truth ∈ range on the serial path, on two more seeds."""
+    assert_serial_sound(seed, kind)
 
 
 def test_sharded_verified_combination_is_sound():
-    """Sharding and verification compose: fan out, cross-check, stay sound."""
+    """Verified ranges (scipy ∩ branch-and-bound) hold the truth and equal
+    the serial ones on a disjoint partition."""
     _, _, missing, pcset, queries = scenario(606, "disjoint")
-    combined = PCBoundSolver(pcset, BoundOptions(
-        solve_workers=3, verify_backend="branch-and-bound"))
+    verified = PCBoundSolver(pcset, BoundOptions(
+        verify_backend="branch-and-bound"))
     serial = PCBoundSolver(pcset, BoundOptions())
     for query in queries:
         truth = query.ground_truth(missing)
-        combined_range = combined.bound(query.aggregate, query.attribute,
+        verified_range = verified.bound(query.aggregate, query.attribute,
                                         query.region)
-        assert_contains(combined_range, truth, query, "sharded+verified")
+        assert_contains(verified_range, truth, query, "verified")
         serial_range = serial.bound(query.aggregate, query.attribute,
                                     query.region)
-        assert_same_range(serial_range, combined_range, query,
-                          "sharded+verified vs serial")
+        assert_same_range(serial_range, verified_range, query,
+                          "verified vs serial")
 
 
 # --------------------------------------------------------------------- #
@@ -414,42 +357,35 @@ def per_request_bound_batch(program, requests):
 @pytest.mark.parametrize("seed", [515, 616])
 @pytest.mark.parametrize("kind", ["disjoint", "overlapping", "mandatory"])
 def test_batched_solves_identical_to_unbatched(seed, kind, monkeypatch):
-    """Batched kernel vs per-request ``program.bound``: endpoint-identical
-    on serial + sharded.
+    """Batched kernel vs per-request ``program.bound``: endpoint-identical.
 
-    The batched kernel's hard constraint — it (and one-shard batches) must
-    never move an endpoint away from the per-cell solves, for all five
-    aggregates, on the serial and thread-sharded paths alike.
+    The batched kernel's hard constraint — it must never move an endpoint
+    away from the per-cell solves, for all five aggregates.
     """
     _, _, missing, pcset, queries = scenario(seed, kind)
 
-    def ranges(**extra):
+    def ranges():
+        solver = PCBoundSolver(pcset, BoundOptions())
         results = []
-        for options in (BoundOptions(**extra),
-                        BoundOptions(solve_workers=3, **extra)):
-            solver = PCBoundSolver(pcset, options)
-            for query in queries:
-                result = solver.bound(query.aggregate, query.attribute,
-                                      query.region)
-                results.append((result.lower, result.upper, result.closed))
+        for query in queries:
+            result = solver.bound(query.aggregate, query.attribute,
+                                  query.region)
+            results.append((result.lower, result.upper, result.closed))
         return results
 
     with monkeypatch.context() as patch:
         patch.setattr(BoundProgram, "bound_batch", per_request_bound_batch)
         baseline = ranges()
-    batched = ranges()
-    degenerate = ranges(solve_batch_size=1)
-    assert batched == baseline
-    assert degenerate == baseline
+    assert ranges() == baseline
 
 
 def test_batched_process_pool_matches_serial(monkeypatch):
-    """Batched task kinds through real process workers == serial ranges.
+    """``analyze_batch`` tasks through real process workers == serial.
 
-    Covers the batched region decomposition against a per-cell serial
-    baseline (per-request ``program.bound``) on the same constraint set,
-    plus AVG; a pooled solver runs every aggregate on the serial program
-    and must answer bit-identically.
+    Every query is answered on a worker against a per-cell serial baseline
+    (per-request ``program.bound``) on the same constraint set, plus AVG;
+    the worker runs every aggregate on the serial program and must answer
+    bit-identically.
     """
     from repro.parallel.pool import WorkerPool
 
@@ -464,16 +400,14 @@ def test_batched_process_pool_matches_serial(monkeypatch):
             baseline[id(query)] = result
             truth = query.ground_truth(missing)
             assert_contains(result, truth, query, "serial baseline")
+    analyzer = PCAnalyzer(pcset, options=BoundOptions())
+    avg = ContingencyQuery.avg("v", None)
     with WorkerPool(max_workers=3, mode="process", name="batch-test") as pool:
-        sharded = PCBoundSolver(pcset, BoundOptions(
-            solve_workers=3, shard_strategy="region"), worker_pool=pool)
-        for query in queries:
-            pooled = sharded.bound(query.aggregate, query.attribute,
-                                   query.region)
-            assert_identical_range(baseline[id(query)], pooled, query,
-                                   "batched process pool vs serial")
-        avg = ContingencyQuery.avg("v", None)
-        pooled = sharded.bound(AggregateFunction.AVG, "v", None)
+        reports = pooled_reports(pool, analyzer, list(queries) + [avg])
+        for query, report in zip(queries, reports):
+            assert_identical_range(baseline[id(query)], report.missing_range,
+                                   query, "batched process pool vs serial")
         assert_identical_range(serial.bound(AggregateFunction.AVG, "v", None),
-                               pooled, avg, "batched process AVG vs serial")
+                               reports[-1].missing_range, avg,
+                               "batched process AVG vs serial")
         assert pool.statistics.cells_solved >= pool.statistics.tasks_shipped

@@ -2,14 +2,13 @@
 
 The bit-identity of batched vs per-cell *results* lives in
 ``test_property_soundness.py``; this module pins the plumbing: batch
-sizing (:mod:`repro.solvers.batching`), the pool's batched task kinds and
-traffic counters, the admission price inversion, and the profile's
-batch-aware shard accounting.
+sizing (:mod:`repro.solvers.batching`), the pool's batched task kind and
+traffic counters, the admission price inversion, and the profile's batch
+accounting.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.solvers.batching import MAX_BATCH_SIZE, adaptive_batch_size, chunked
@@ -22,18 +21,10 @@ class TestKnobs:
         assert adaptive_batch_size(1, 4) == 1
         assert adaptive_batch_size(0, 4) == 1
 
-    def test_adaptive_clamps_and_density_shrink(self):
-        # Clamp: one worker and 1000 tasks still caps at MAX_BATCH_SIZE.
+    def test_adaptive_clamps_to_max_batch_size(self):
+        # One worker and 1000 tasks still caps at MAX_BATCH_SIZE.
         assert adaptive_batch_size(1000, 1) == MAX_BATCH_SIZE
-        # Heavy estimated enumeration shrinks the batch so one task never
-        # concentrates the whole round's predicted work.
-        light = adaptive_batch_size(64, 1, estimated_cells=64)
-        heavy = adaptive_batch_size(64, 1, estimated_cells=64 * 1024)
-        assert heavy < light
-        assert heavy >= 1
-
-    def test_fixed_size_wins_outright(self):
-        assert adaptive_batch_size(1000, 1, configured=5) == 5
+        assert adaptive_batch_size(1000, 8) == MAX_BATCH_SIZE
 
     def test_chunked(self):
         assert chunked([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
@@ -56,13 +47,11 @@ class TestPoolBatchTraffic:
 
     def test_every_process_pool_task_is_a_batch(self):
         """Two entries over two workers make the adaptive batch size 1, yet
-        every task still ships as a one-entry ``*_batch`` task whose
-        ``pool.decompose`` children keep their global shard positions, and
+        every query still ships as a one-entry ``analyze_batch`` task, and
         every result equals the serial one."""
         import os
 
         from repro.core.bounds import BoundOptions
-        from repro.core.cells import CellDecomposer, DecompositionStrategy
         from repro.core.engine import ContingencyQuery, PCAnalyzer
         from repro.core.predicates import Predicate
         from repro.obs.trace import get_tracer
@@ -76,9 +65,6 @@ class TestPoolBatchTraffic:
         regions = [Predicate.range("t", 0.0, 40.0),
                    Predicate.range("t", 30.0, 100.0)]
         queries = [ContingencyQuery.sum("v", region) for region in regions]
-        shard_tasks = [(f"shard-{index}", pcset, region,
-                        DecompositionStrategy.DFS_REWRITE, None)
-                       for index, region in enumerate(regions)]
         keyed_queries = [
             (solver.program_key(query.region, query.attribute),
              solver.program(query.region, query.attribute), query,
@@ -89,7 +75,6 @@ class TestPoolBatchTraffic:
         with WorkerPool(max_workers=2, mode="process",
                         name="batch-only-test") as pool:
             with tracer.trace("round", force=True) as trace:
-                decompositions = pool.decompose_shards(shard_tasks)
                 reports = pool.analyze("batch-only", analyzer, keyed_queries)
 
         coordinator = f"{os.getpid():x}-"
@@ -100,29 +85,18 @@ class TestPoolBatchTraffic:
                  and span.parent_id not in worker_ids]
         # Session registration is the only non-work task a round may ship.
         work = [span.name for span in roots if span.name != "pool.register"]
-        assert sorted(work) == ["pool.analyze_batch"] * 2 + \
-            ["pool.decompose_batch"] * 2
-        children = [span for span in spans if span.name == "pool.decompose"]
-        assert sorted(span.attributes["shard"] for span in children) == [0, 1]
-
-        for (_key, _pcset, region, strategy, _depth), got in zip(
-                shard_tasks, decompositions):
-            want = CellDecomposer(pcset, strategy).decompose(region)
-            assert [cell.covering for cell in got.cells] == \
-                [cell.covering for cell in want.cells]
+        assert work == ["pool.analyze_batch"] * 2
         for query, report in zip(queries, reports):
             want = analyzer.analyze(query)
             assert (report.lower, report.upper) == (want.lower, want.upper)
 
 
 class TestAdmissionInversion:
-    def _cost(self, units, cells, constraints=10, shards=1, warm=False,
-              hit_rate=0.0):
+    def _cost(self, units, cells, constraints=10, warm=False, hit_rate=0.0):
         from repro.service.admission import QueryCost
 
         return QueryCost(units=units, aggregate="count",
                          constraint_count=constraints, estimated_cells=cells,
-                         shard_count=shards, strategy="serial",
                          program_warm=warm, pool_warm_hit_rate=hit_rate)
 
     def test_inversion_recovers_the_fitting_cell_count(self):
@@ -189,48 +163,14 @@ class TestProfileBatchAccounting:
                            attributes=dict(attributes or {}),
                            children=list(children or []))
 
-    def test_shard_times_aggregate_per_shard_id(self):
-        """Ten one-cell task spans == one ten-cell batch span, per shard."""
-        from repro.obs.profile import QueryProfile
-
-        tasked = QueryProfile(trace_id="t1", root=self._node(
-            "bound", 1.0, children=[
-                self._node(f"pool.solve-{shard}-{i}", 0.1, {"shard": shard})
-                for shard in (0, 1) for i in range(10)]))
-        batched = QueryProfile(trace_id="t2", root=self._node(
-            "bound", 1.0, children=[
-                self._node("pool.decompose_batch",
-                           1.0, {"shard": 0, "cells": 10}),
-                self._node("pool.decompose_batch",
-                           1.0, {"shard": 1, "cells": 10})]))
-        assert len(tasked.shard_times()) == 2
-        assert len(batched.shard_times()) == 2
-        assert tasked.shard_cells() == [10, 10]
-        assert batched.shard_cells() == [10, 10]
-        assert tasked.shard_skew() == pytest.approx(1.0)
-        assert batched.shard_skew() == pytest.approx(1.0)
-
-    def test_cell_skew_sees_hot_shard_through_batching(self):
-        """Task counts mask the hot shard; the cell counters must not."""
-        from repro.obs.profile import QueryProfile
-
-        profile = QueryProfile(trace_id="t3", root=self._node(
-            "bound", 1.0, children=[
-                self._node("pool.decompose_batch", 0.5,
-                           {"shard": 0, "cells": 30}),
-                self._node("pool.decompose_batch", 0.5,
-                           {"shard": 1, "cells": 10}),
-            ]))
-        assert profile.shard_cell_skew() == pytest.approx(30 / 20)
-
     def test_batch_counts_and_render(self):
         from repro.obs.profile import QueryProfile
 
         profile = QueryProfile(trace_id="t4", root=self._node(
             "bound", 1.0, children=[
                 self._node("pool.analyze_batch", 0.2, {"cells": 4}),
-                self._node("pool.decompose_batch", 0.2, {"cells": 6}),
-                self._node("pool.decompose", 0.2, {}),
+                self._node("pool.analyze_batch", 0.2, {"cells": 6}),
+                self._node("pool.register", 0.2, {}),
             ]))
         counts = profile.batch_counts()
         assert counts == {"batched_tasks": 2.0, "batched_cells": 10.0}

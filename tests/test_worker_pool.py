@@ -7,7 +7,7 @@ The pool's contract has three legs the soundness harness cannot see:
 * **affinity** — a program key is pinned to one worker, so its warm cache
   is actually reused (observable as warm hits without program re-ships);
 * **equivalence** — every mode (serial / thread / process) returns the
-  decompositions and reports the direct in-process calls produce.
+  reports the direct in-process calls produce.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.bounds import BoundOptions, PCBoundSolver
+from repro.core.bounds import BoundOptions
 from repro.core.builders import build_partition_pcs
-from repro.core.cells import CellDecomposer
 from repro.core.engine import ContingencyQuery, PCAnalyzer
 from repro.core.predicates import Predicate
 from repro.exceptions import SolverError
-from repro.parallel.pool import WorkerPool, shared_pool, shutdown_shared_pools
-from repro.relational.aggregates import AggregateFunction
+from repro.parallel.pool import WorkerPool
 from repro.relational.relation import Relation
 from repro.relational.schema import ColumnType, Schema
 from repro.service import ContingencyService
@@ -46,36 +44,6 @@ def make_relation(rows: int = 240, seed: int = 5) -> Relation:
                             rng.uniform(1.0, 60.0, rows)])
     return Relation.from_rows(schema, [tuple(row) for row in data],
                               name="pool-test")
-
-
-def shard_tasks(solver: PCBoundSolver, attribute: str = "v",
-                shards: int = 3) -> list[tuple]:
-    """Self-contained region-shard enumeration tasks, keyed like the solver
-    keys them: ``(key, pcset, region, strategy, early_stop_depth)``."""
-    sharded = solver.sharded_plan(None, attribute, max_shards=shards)
-    assert sharded.is_sharded
-    return [(solver.shard_program_key(shard, None, attribute),
-             shard.plan.pcset, shard.plan.query.region, shard.plan.strategy,
-             shard.plan.early_stop_depth)
-            for shard in sharded]
-
-
-def coverings(decompositions) -> list[list]:
-    return [[cell.covering for cell in decomposition.cells]
-            for decomposition in decompositions]
-
-
-def direct_coverings(tasks) -> list[list]:
-    """The reference: each task enumerated in-process."""
-    return coverings(CellDecomposer(pcset, strategy, depth).decompose(region)
-                     for _key, pcset, region, strategy, depth in tasks)
-
-
-@pytest.fixture
-def solver() -> PCBoundSolver:
-    pcset = build_partition_pcs(make_relation(), ["t"], 6)
-    return PCBoundSolver(pcset, BoundOptions(check_closure=False,
-                                             shard_strategy="region"))
 
 
 def keyed_queries(analyzer: PCAnalyzer, queries) -> list[tuple]:
@@ -99,54 +67,82 @@ def endpoints(reports) -> list[tuple]:
 
 
 def direct_endpoints(analyzer: PCAnalyzer, queries) -> list[tuple]:
+    """The reference: each query answered serially in-process."""
     return endpoints(analyzer.analyze(query) for query in queries)
 
 
+def single_query_requests(session_key, analyzer: PCAnalyzer, queries,
+                          key=None) -> list[tuple]:
+    """One ``analyze_batch`` round request per query, in order — the shape
+    that ships each query as its own task.  ``key`` overrides every
+    request's routing key (a hot key concentrates the round on one
+    worker)."""
+    requests = []
+    for position, (program_key, program, query, depth) in enumerate(
+            keyed_queries(analyzer, queries)):
+        requests.append(("analyze_batch", key or program_key,
+                         (session_key, program_key, program, (query,),
+                          depth), (position,)))
+    return requests
+
+
+def round_endpoints(collected: dict) -> list[tuple]:
+    """A round's ``{(position,): [report]}`` replies in position order."""
+    return [(reports[0].lower, reports[0].upper)
+            for _position, reports in sorted(collected.items())]
+
+
 @pytest.fixture
-def analyzer(solver) -> PCAnalyzer:
-    return PCAnalyzer(solver.pcset, options=BoundOptions(check_closure=False))
+def analyzer() -> PCAnalyzer:
+    pcset = build_partition_pcs(make_relation(), ["t"], 6)
+    return PCAnalyzer(pcset, options=BoundOptions(check_closure=False))
 
 
 class TestLifecycle:
-    def test_shutdown_is_idempotent_and_context_managed(self, solver):
-        tasks = shard_tasks(solver)
+    def test_shutdown_is_idempotent_and_context_managed(self, analyzer):
+        queries = window_queries()
+        keyed = keyed_queries(analyzer, queries)
         with WorkerPool(max_workers=WORKERS, mode="process") as pool:
-            results = pool.decompose_shards(tasks)
-            assert coverings(results) == direct_coverings(tasks)
+            reports = pool.analyze("lifecycle", analyzer, keyed)
+            assert endpoints(reports) == direct_endpoints(analyzer, queries)
             assert pool.alive_workers() == WORKERS
         assert pool.alive_workers() == 0
         pool.shutdown()  # second shutdown: no-op, no error
         pool.shutdown()
 
-    def test_pool_restarts_lazily_after_shutdown(self, solver):
-        tasks = shard_tasks(solver)
+    def test_pool_restarts_lazily_after_shutdown(self, analyzer):
+        keyed = keyed_queries(analyzer, window_queries())
         pool = WorkerPool(max_workers=WORKERS, mode="process")
-        first = coverings(pool.decompose_shards(tasks))
+        first = endpoints(pool.analyze("lazy", analyzer, keyed))
         pool.shutdown()
         assert pool.alive_workers() == 0
-        second = coverings(pool.decompose_shards(tasks))
+        second = endpoints(pool.analyze("lazy", analyzer, keyed))
         assert first == second
         pool.shutdown()
 
-    def test_restart_bounces_workers(self, solver):
-        tasks = shard_tasks(solver)
+    def test_restart_bounces_workers(self, analyzer):
+        keyed = keyed_queries(analyzer, window_queries())
         pool = WorkerPool(max_workers=WORKERS, mode="process")
-        pool.decompose_shards(tasks)
+        pool.analyze("bounce", analyzer, keyed)
         pids = set(pool.worker_pids())
         pool.restart()
         assert pool.alive_workers() == WORKERS
         assert set(pool.worker_pids()).isdisjoint(pids)
         pool.shutdown()
 
-    def test_killed_worker_is_respawned_and_round_completes(self, solver):
-        tasks = shard_tasks(solver)
+    def test_killed_worker_is_respawned_and_round_completes(self, analyzer):
+        # One query per worker, so the killed worker always has work in
+        # the next round.
+        queries = window_queries(count=WORKERS)
+        keyed = keyed_queries(analyzer, queries)
         pool = WorkerPool(max_workers=WORKERS, mode="process")
         try:
-            baseline = coverings(pool.decompose_shards(tasks))
+            baseline = endpoints(pool.analyze("kill", analyzer, keyed))
+            assert baseline == direct_endpoints(analyzer, queries)
             victim = pool.worker_pids()[0]
             os.kill(victim, signal.SIGKILL)
             time.sleep(0.1)
-            recovered = coverings(pool.decompose_shards(tasks))
+            recovered = endpoints(pool.analyze("kill", analyzer, keyed))
             assert recovered == baseline
             assert pool.statistics.worker_restarts >= 1
             assert pool.alive_workers() == WORKERS
@@ -172,40 +168,19 @@ class TestLifecycle:
         finally:
             pool.shutdown()
 
-    def test_large_rounds_do_not_deadlock(self, solver):
+    def test_large_rounds_do_not_deadlock(self, analyzer):
         """Rounds far larger than a pipe buffer complete: the in-flight cap
         keeps dispatch and collection interleaved, so a worker can never
         block sending results while the parent blocks sending tasks."""
-        tasks = shard_tasks(solver)
-        big = [tasks[index % len(tasks)] for index in range(4000)]
+        queries = window_queries(ContingencyQuery.count)
+        big = [queries[index % len(queries)] for index in range(1000)]
+        expected = direct_endpoints(analyzer, queries)
         with WorkerPool(max_workers=2, mode="process") as pool:
-            results = pool.decompose_shards(big, batch_size=1)
-        expected = direct_coverings(tasks)
-        assert coverings(results) == [expected[index % len(expected)]
-                                      for index in range(4000)]
-
-    def test_shared_pools_are_reused_and_reaped(self):
-        first = shared_pool(mode="thread", max_workers=WORKERS)
-        second = shared_pool(mode="thread", max_workers=WORKERS)
-        assert first is second
-        other = shared_pool(mode="thread", max_workers=WORKERS + 1)
-        assert other is not first
-        shutdown_shared_pools()
-        third = shared_pool(mode="thread", max_workers=WORKERS)
-        assert third is not first
-
-    def test_shared_pool_keyed_by_resolved_mode(self):
-        """A process request that falls back to threads shares the thread
-        registry entry instead of creating a duplicate thread pool."""
-        register_backend(
-            "test-shared-pool-unsafe",
-            lambda model, time_limit=None: None,
-            replace=True,
-            capabilities=BackendCapabilities(process_safe=False))
-        fallback = shared_pool(mode="process", max_workers=WORKERS,
-                               backend="test-shared-pool-unsafe")
-        assert fallback.mode == "thread"
-        assert shared_pool(mode="thread", max_workers=WORKERS) is fallback
+            pool.register_session("big", analyzer)
+            collected = pool._locked_round(
+                single_query_requests("big", analyzer, big))
+        assert round_endpoints(collected) == [expected[index % len(expected)]
+                                              for index in range(1000)]
 
 
 class TestModesAndFallbacks:
@@ -230,14 +205,12 @@ class TestModesAndFallbacks:
         assert pool.requested_mode == "process"
 
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
-    def test_pool_matches_direct_calls(self, solver, analyzer, mode):
-        tasks = shard_tasks(solver)
+    def test_pool_matches_direct_calls(self, analyzer, mode):
         workers = 1 if mode == "serial" else WORKERS
         with WorkerPool(max_workers=workers, mode=mode) as pool:
-            assert coverings(pool.decompose_shards(tasks)) == \
-                direct_coverings(tasks)
             for maker in (ContingencyQuery.count, ContingencyQuery.sum,
-                          ContingencyQuery.min, ContingencyQuery.max):
+                          ContingencyQuery.avg, ContingencyQuery.min,
+                          ContingencyQuery.max):
                 queries = window_queries(maker, count=2)
                 reports = pool.analyze(f"modes-{mode}", analyzer,
                                        keyed_queries(analyzer, queries))
@@ -394,9 +367,9 @@ class TestServiceIntegration:
             assert service.worker_pool.statistics.worker_restarts >= 1
 
     def test_injected_process_pool_gated_for_unsafe_backend(self):
-        """A process-unsafe backend never reaches an injected process pool:
-        the solver borrows a shared thread pool instead (same fallback the
-        pool applies when it knows the backend at construction)."""
+        """A process-unsafe backend never reaches the service's process
+        pool: its batches run on a thread pool instead (the same fallback
+        the pool applies when it knows the backend at construction)."""
         from repro.solvers.milp import _solve_scipy
 
         register_backend(
@@ -404,71 +377,43 @@ class TestServiceIntegration:
             lambda model, time_limit=None: _solve_scipy(model),
             replace=True,
             capabilities=BackendCapabilities(process_safe=False))
-        relation, pcset, _ = self.make_service_scenario()
-        pool = WorkerPool(max_workers=WORKERS, mode="process", name="gated")
-        try:
-            solver = PCBoundSolver(
-                pcset, BoundOptions(check_closure=False, solve_workers=2,
-                                    milp_backend="test-pool-unsafe-solver"),
-                worker_pool=pool)
-            borrowed = solver.borrow_pool(2)
-            assert borrowed is not pool
-            assert borrowed.mode == "thread"
-            serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-            pooled_range = solver.bound(AggregateFunction.SUM, "v")
-            serial_range = serial.bound(AggregateFunction.SUM, "v")
-            assert pooled_range.lower == pytest.approx(serial_range.lower,
-                                                       rel=1e-9)
-            assert pooled_range.upper == pytest.approx(serial_range.upper,
-                                                       rel=1e-9)
+        relation, pcset, queries = self.make_service_scenario()
+        options = BoundOptions(milp_backend="test-pool-unsafe-solver")
+        with ContingencyService(max_workers=WORKERS,
+                                pool_mode="process") as service:
+            service.register("gated", pcset, observed=relation,
+                             options=options)
+            result = service.execute_batch("gated", queries)
+            assert result.statistics.executor_mode == "thread"
+            serial = PCAnalyzer(pcset, observed=relation, options=options)
+            for query, report in zip(queries, result.reports):
+                expected = serial.analyze(query)
+                assert (report.lower, report.upper) == \
+                    (expected.lower, expected.upper)
             # The process pool never saw the unsafe backend's work.
-            assert pool.statistics.tasks_dispatched == 0
-        finally:
-            pool.shutdown()
-
-    def test_sharded_solver_borrows_injected_pool(self):
-        relation, pcset, _ = self.make_service_scenario()
-        pool = WorkerPool(max_workers=WORKERS, mode="process", name="injected")
-        try:
-            solver = PCBoundSolver(
-                pcset, BoundOptions(check_closure=False, solve_workers=3,
-                                    shard_strategy="region"),
-                worker_pool=pool)
-            serial = PCBoundSolver(pcset, BoundOptions(check_closure=False))
-            for aggregate, attribute in [(AggregateFunction.COUNT, None),
-                                         (AggregateFunction.SUM, "v"),
-                                         (AggregateFunction.AVG, "v")]:
-                pooled_range = solver.bound(aggregate, attribute)
-                serial_range = serial.bound(aggregate, attribute)
-                assert (pooled_range.lower, pooled_range.upper) == \
-                    (serial_range.lower, serial_range.upper)
-            assert pool.statistics.tasks_dispatched > 0
-        finally:
-            pool.shutdown()
+            assert service.worker_pool.statistics.tasks_dispatched == 0
 
 
 class TestAffinityRouting:
     """Sticky affinity placement, its load credits, and the skewed round
     it produces when every task shares one key."""
 
-    def test_hot_key_round_matches_serial_coverings(self):
+    def test_hot_key_round_matches_serial_endpoints(self, analyzer):
         """All 40 tasks share one affinity key, so routing concentrates the
-        round on one worker — the synthetic worst case of skew.  With
-        batch_size=1 that worker runs 16 tasks in flight over a deep
-        backlog; the round must complete and every shard must equal the
-        serial enumeration."""
-        from repro.core.cells import CellDecomposer, DecompositionStrategy
-
-        pcset = build_partition_pcs(make_relation(), ["t"], 4)
-        tasks = [("hot-key", pcset, None, DecompositionStrategy.DFS_REWRITE,
-                  None)] * 40
-        expected = {cell.covering
-                    for cell in CellDecomposer(pcset).decompose().cells}
+        round on one worker — the synthetic worst case of skew.  With one
+        query per task that worker runs 16 tasks in flight over a deep
+        backlog; the round must complete and every answer must equal the
+        serial one."""
+        queries = window_queries(count=4)
+        hot = [queries[index % len(queries)] for index in range(40)]
+        expected = direct_endpoints(analyzer, queries)
         with WorkerPool(max_workers=WORKERS, mode="process") as pool:
-            results = pool.decompose_shards(tasks, batch_size=1)
-        assert len(results) == len(tasks)
-        assert all({cell.covering for cell in result.cells} == expected
-                   for result in results)
+            pool.register_session("hot", analyzer)
+            collected = pool._locked_round(
+                single_query_requests("hot", analyzer, hot, key="hot-key"))
+        assert len(collected) == len(hot)
+        assert round_endpoints(collected) == [expected[index % len(expected)]
+                                              for index in range(40)]
 
     def test_restart_resets_load_counters_but_keeps_sticky_map(self):
         pool = WorkerPool(max_workers=WORKERS, mode="process")
