@@ -16,7 +16,6 @@ import numpy as np
 
 from ..core.engine import ContingencyQuery
 from ..exceptions import WorkloadError
-from ..relational.aggregates import AggregateFunction, compute_aggregate
 from ..relational.relation import Relation
 from ..relational.schema import ColumnType, Schema
 from .base import IntervalEstimate, MissingDataEstimator

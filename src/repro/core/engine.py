@@ -14,10 +14,8 @@ supplied, combines that bound with the exact answer over the observed rows
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from ..exceptions import QueryError
 from ..obs.trace import get_tracer
@@ -319,13 +317,8 @@ class PCAnalyzer:
         """(observed aggregate, matching row count, matching sum)."""
         if self._observed is None:
             return None, 0, 0.0
-        relational_query = query.to_aggregate_query()
-        result = relational_query.execute(self._observed)
-        matching = self._observed.filter(relational_query.where)
-        observed_sum = 0.0
-        if query.attribute is not None and matching.num_rows > 0:
-            observed_sum = matching.column_sum(query.attribute)
-        return result.value, matching.num_rows, observed_sum
+        result = query.to_aggregate_query().execute(self._observed)
+        return result.value, result.matching_rows, result.matching_sum
 
     def _combine(self, query: ContingencyQuery, missing: ResultRange,
                  observed_value: float | None) -> ResultRange:

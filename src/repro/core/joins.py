@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from ..exceptions import JoinBoundError
 from ..relational.aggregates import AggregateFunction

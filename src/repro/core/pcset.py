@@ -17,7 +17,7 @@ The class offers:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from ..exceptions import ClosureError, ConstraintError
 from ..relational.relation import Relation

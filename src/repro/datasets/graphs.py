@@ -15,8 +15,6 @@ comparisons at larger sizes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..exceptions import DatasetError
 from ..relational.relation import Relation
 from ..relational.schema import ColumnType, Schema

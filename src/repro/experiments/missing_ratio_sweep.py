@@ -9,7 +9,6 @@ query workload, and records failure rate and median over-estimation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from ..relational.aggregates import AggregateFunction
 from ..workloads.missing import remove_correlated

@@ -40,7 +40,6 @@ from ..obs.trace import get_tracer
 from ..relational.aggregates import AggregateFunction
 from ..solvers.lp import LPSolution, Sense, SolutionStatus
 from ..solvers.milp import CompiledMILP, MILPModel, solve_milp
-from ..solvers.registry import resolve_backend
 from ..core.cells import CellDecomposition
 from ..core.pcset import PredicateConstraintSet
 from ..core.predicates import Predicate

@@ -30,11 +30,15 @@ class QueryResult:
 
     ``value`` is the scalar result for queries without GROUP BY; ``groups``
     maps group keys to per-group values when GROUP BY is present.
+    Without GROUP BY, ``matching_sum`` is the sum of the aggregated
+    attribute over the rows matching the WHERE clause (0.0 for COUNT and
+    for empty matches).
     """
 
     value: float | None
     groups: dict[tuple, float | None] | None = None
     matching_rows: int = 0
+    matching_sum: float = 0.0
 
     @property
     def is_grouped(self) -> bool:
@@ -121,18 +125,31 @@ class AggregateQuery:
     # Execution
     # ------------------------------------------------------------------ #
     def execute(self, relation: Relation) -> QueryResult:
-        """Execute the query exactly against ``relation``."""
+        """Execute the query exactly against ``relation``.
+
+        Without GROUP BY the WHERE clause is evaluated once, to a mask, and
+        only the aggregated column is gathered: no other column is copied.
+        """
         if self.attribute is not None:
             relation.schema.require_numeric(self.attribute)
-        matching = relation.filter(self.where)
         if self.group_by:
+            matching = relation.filter(self.where)
             groups: dict[tuple, float | None] = {}
             for key, group in matching.group_by(list(self.group_by)).items():
                 groups[key] = self._aggregate_relation(group)
             return QueryResult(value=None, groups=groups,
                                matching_rows=matching.num_rows)
-        return QueryResult(value=self._aggregate_relation(matching),
-                           groups=None, matching_rows=matching.num_rows)
+        mask = relation.mask(self.where)
+        if self.attribute is None:
+            matching_rows = int(np.count_nonzero(mask))
+            return QueryResult(value=float(matching_rows),
+                               matching_rows=matching_rows)
+        # Same dtype and summation order as ``Relation.column_sum`` over
+        # the filtered relation, so the results are bit-identical to it.
+        values = relation.column(self.attribute)[mask].astype(np.float64)
+        return QueryResult(value=compute_aggregate(self.aggregate, values),
+                           matching_rows=int(values.size),
+                           matching_sum=float(values.sum()))
 
     def scalar(self, relation: Relation) -> float | None:
         """Execute and return the scalar value (no GROUP BY allowed)."""

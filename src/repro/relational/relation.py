@@ -163,6 +163,30 @@ class Relation:
     # ------------------------------------------------------------------ #
     # Core relational operations
     # ------------------------------------------------------------------ #
+    def mask(self, condition: "Expression | np.ndarray") -> np.ndarray:
+        """The boolean row mask of ``condition`` (shape ``(num_rows,)``).
+
+        ``condition`` may be a boolean numpy mask or any object exposing an
+        ``evaluate(relation) -> mask`` method.  Evaluating once and indexing
+        only the columns a caller needs avoids :meth:`filter`'s copy of
+        every column.
+        """
+        if isinstance(condition, np.ndarray):
+            mask = condition
+        elif hasattr(condition, "evaluate"):
+            mask = condition.evaluate(self)
+        else:
+            raise TypeMismatchError(
+                "filter condition must be a boolean mask or an Expression, "
+                f"got {type(condition).__name__}"
+            )
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (self._length,):
+            raise TypeMismatchError(
+                f"boolean mask has shape {mask.shape}, expected ({self._length},)"
+            )
+        return mask
+
     def filter(self, condition: "Expression | np.ndarray") -> "Relation":
         """Return the sub-relation of rows matching ``condition``.
 
@@ -170,7 +194,7 @@ class Relation:
         ``evaluate(relation) -> mask`` method (see
         :mod:`repro.relational.expressions`).
         """
-        mask = self._as_mask(condition)
+        mask = self.mask(condition)
         columns = {name: array[mask] for name, array in self._columns.items()}
         return Relation(self._schema, columns, name=self._name)
 
@@ -306,7 +330,7 @@ class Relation:
 
     def split_by_mask(self, condition: "Expression | np.ndarray") -> tuple["Relation", "Relation"]:
         """Split into (matching, non-matching) sub-relations."""
-        mask = self._as_mask(condition)
+        mask = self.mask(condition)
         return self.filter(mask), self.filter(~mask)
 
     def group_by(self, names: Sequence[str]) -> dict[tuple, "Relation"]:
@@ -390,20 +414,3 @@ class Relation:
     def _numeric_values(self, name: str) -> np.ndarray:
         self._schema.require_numeric(name)
         return self._columns[name].astype(np.float64)
-
-    def _as_mask(self, condition: "Expression | np.ndarray") -> np.ndarray:
-        if isinstance(condition, np.ndarray):
-            mask = condition
-        elif hasattr(condition, "evaluate"):
-            mask = condition.evaluate(self)
-        else:
-            raise TypeMismatchError(
-                "filter condition must be a boolean mask or an Expression, "
-                f"got {type(condition).__name__}"
-            )
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self._length,):
-            raise TypeMismatchError(
-                f"boolean mask has shape {mask.shape}, expected ({self._length},)"
-            )
-        return mask

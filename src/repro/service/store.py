@@ -23,6 +23,16 @@ Design rules, in order of importance:
   Python objects.  Two processes running the same code produce the same key
   bytes for the same logical entry, whatever their hash seeds — a pickled
   key would not, since frozensets pickle in hash-seed order.
+* **Cheap commits, cache-grade durability.**  The file runs in WAL mode
+  with ``synchronous=NORMAL``: a commit appends to the ``-wal`` log and
+  syncs only at checkpoints, instead of syncing a rollback journal and the
+  file on every write.  A process crash loses nothing committed; an OS
+  crash or power loss can drop the last commits, which leaves a colder
+  cache, never a wrong one.  WAL keeps two sidecar files next to the
+  database (``-wal`` and ``-shm``); the ``-shm`` index is shared memory, so
+  every process sharing a directory must run on one host.  A filesystem
+  that refuses WAL keeps the old journal mode, which is slower but equally
+  correct.
 
 Rows are namespaced by ``kind`` (one per attached cache) so decompositions
 and reports share one file without colliding.
@@ -91,8 +101,8 @@ class PersistentStore:
     ----------
     cache_dir:
         Directory holding the database file (created if absent).  Multiple
-        stores — even in different processes — may point at the same
-        directory; sqlite serialises writers.
+        stores — even in different processes on one host — may point at
+        the same directory; sqlite serialises writers.
     """
 
     def __init__(self, cache_dir: str | Path):
@@ -142,27 +152,39 @@ class PersistentStore:
 
     def _connect(self) -> sqlite3.Connection:
         connection = sqlite3.connect(str(self._path), check_same_thread=False)
-        version = connection.execute("PRAGMA user_version").fetchone()[0]
-        if version not in (0, SCHEMA_VERSION):
-            # Written by an incompatible layout: drop rather than guess.
-            connection.execute("DROP TABLE IF EXISTS entries")
-        connection.execute(
-            "CREATE TABLE IF NOT EXISTS entries ("
-            " kind TEXT NOT NULL,"
-            " key BLOB NOT NULL,"
-            " key_pickle BLOB NOT NULL,"
-            " value BLOB NOT NULL,"
-            " PRIMARY KEY (kind, key))"
-        )
-        connection.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
-        connection.commit()
+        try:
+            # The answer is the mode now in force: a filesystem that
+            # refuses WAL answers with the old mode, which still works.
+            connection.execute("PRAGMA journal_mode=WAL")
+            connection.execute("PRAGMA synchronous=NORMAL")
+            version = connection.execute("PRAGMA user_version").fetchone()[0]
+            if version not in (0, SCHEMA_VERSION):
+                # Written by an incompatible layout: drop rather than guess.
+                connection.execute("DROP TABLE IF EXISTS entries")
+            connection.execute(
+                "CREATE TABLE IF NOT EXISTS entries ("
+                " kind TEXT NOT NULL,"
+                " key BLOB NOT NULL,"
+                " key_pickle BLOB NOT NULL,"
+                " value BLOB NOT NULL,"
+                " PRIMARY KEY (kind, key))"
+            )
+            if version != SCHEMA_VERSION:
+                # Only a new or dropped layout writes the header: opening
+                # an up-to-date store writes nothing.
+                connection.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            connection.commit()
+        except sqlite3.Error:
+            connection.close()
+            raise
         return connection
 
     def _recreate(self) -> None:
         """Replace a corrupted/truncated database file with a fresh one.
 
         Losing the warm entries is exactly the contract: a bad store is a
-        cold cache, never an error surfaced to a query.
+        cold cache, never an error surfaced to a query.  The WAL sidecars
+        go too, so a stale log is never replayed into the fresh file.
         """
         if self._connection is not None:
             try:
@@ -171,7 +193,8 @@ class PersistentStore:
                 pass
             self._connection = None
         try:
-            self._path.unlink(missing_ok=True)
+            for suffix in ("", "-wal", "-shm"):
+                Path(f"{self._path}{suffix}").unlink(missing_ok=True)
             self._connection = self._connect()
         except (OSError, sqlite3.Error):
             self._connection = None

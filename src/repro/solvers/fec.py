@@ -21,7 +21,7 @@ both supported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from ..exceptions import JoinBoundError

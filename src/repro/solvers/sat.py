@@ -33,7 +33,7 @@ exactly the behaviour the DFS optimisation in the paper exploits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 __all__ = [

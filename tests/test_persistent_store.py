@@ -81,6 +81,62 @@ class TestPersistentStore:
         assert store_errors >= 1
         reopened.close()
 
+    def test_store_runs_in_wal_mode(self, tmp_path):
+        store = PersistentStore(tmp_path)
+        store.write("report", ("k",), "value")
+        connection = sqlite3.connect(str(store.path))
+        mode = connection.execute("PRAGMA journal_mode").fetchone()[0]
+        connection.close()
+        assert mode == "wal"
+        store.close()
+
+    def test_corrupted_file_with_leftover_sidecars_is_recreated(self,
+                                                                tmp_path):
+        """A stale WAL log next to a corrupted main file is not replayed:
+        the store starts cold and usable, and counts the error."""
+        store = PersistentStore(tmp_path)
+        store.write("report", ("k",), "value")
+        store.close()  # the last close checkpoints the log into the file
+        store = PersistentStore(tmp_path)
+        store.write("report", ("k2",), "logged")
+        wal = tmp_path / f"{store.path.name}-wal"
+        shm = tmp_path / f"{store.path.name}-shm"
+        # Copied while the store is open, the log holds the second write
+        # but not the file header, so the corruption below shows.
+        stale_wal, stale_shm = wal.read_bytes(), shm.read_bytes()
+        assert stale_wal
+        store.close()
+        store.path.write_bytes(b"this is not a sqlite database file")
+        wal.write_bytes(stale_wal)
+        shm.write_bytes(stale_shm)
+
+        reopened = PersistentStore(tmp_path)
+        assert reopened.statistics.errors >= 1
+        assert not wal.exists() or wal.read_bytes() != stale_wal
+        assert reopened.read("report", ("k",)) is None  # cold, not fatal
+        assert reopened.read("report", ("k2",)) is None
+        reopened.write("report", ("k",), "fresh")
+        assert reopened.statistics.writes == 1
+        assert reopened.read("report", ("k",)) == "fresh"
+        assert reopened.entry_count() == 1
+        reopened.close()
+
+    def test_recreate_removes_the_sidecars(self, tmp_path, monkeypatch):
+        """Even when the fresh file cannot be opened, no stale log or
+        index is left behind for a later open to find."""
+        store = PersistentStore(tmp_path)
+        store.close()
+        for suffix in ("-wal", "-shm"):
+            (tmp_path / f"{store.path.name}{suffix}").write_bytes(b"stale")
+
+        def refuse():
+            raise sqlite3.OperationalError("unable to open database file")
+
+        monkeypatch.setattr(store, "_connect", refuse)
+        store._recreate()
+        assert sorted(path.name for path in tmp_path.iterdir()) == []
+        assert store.statistics.errors == 1
+
     def test_schema_version_mismatch_drops_table(self, tmp_path):
         store = PersistentStore(tmp_path)
         store.write("report", ("k",), "value")
@@ -227,6 +283,64 @@ class TestSeedStableKeys:
         first = _store_digests("1")
         assert len(first.splitlines()) == 6
         assert _store_digests("2") == first
+
+
+#: Writes rows ``0, 1, 2, ...`` to the store in ``sys.argv[1]`` and prints
+#: each index once its write has returned, i.e. once it is committed.
+_WRITER_SCRIPT = """
+import sys
+from repro.service.store import PersistentStore
+
+store = PersistentStore(sys.argv[1])
+for index in range(1_000_000):
+    store.write("report", ("row", index), {"index": index, "pad": "x" * 512})
+    print(index, flush=True)
+"""
+
+
+class TestCrashedWriter:
+    def test_store_survives_a_writer_killed_mid_loop(self, tmp_path):
+        """SIGKILL between (or inside) commits: every row the writer saw
+        committed reads back, and the store accepts new writes."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        source = Path(__file__).resolve().parents[1] / "src"
+        environment = dict(os.environ, PYTHONPATH=str(source))
+        writer = subprocess.Popen(
+            [sys.executable, "-c", _WRITER_SCRIPT, str(tmp_path)],
+            env=environment, stdout=subprocess.PIPE, text=True)
+        committed = -1
+        try:
+            for line in writer.stdout:
+                committed = int(line)
+                if committed >= 200:
+                    break
+        finally:
+            writer.send_signal(signal.SIGKILL)
+            writer.wait(timeout=60)
+            writer.stdout.close()
+        assert writer.returncode == -signal.SIGKILL
+        assert committed >= 200
+
+        store = PersistentStore(tmp_path)
+        for index in range(committed + 1):
+            assert store.read("report", ("row", index)) == {
+                "index": index, "pad": "x" * 512}
+        assert store.statistics.errors == 0
+        assert store.entry_count("report") >= committed + 1
+        store.write("report", ("after", "crash"), "fresh")
+        assert store.statistics.writes == 1
+        assert store.read("report", ("after", "crash")) == "fresh"
+        store.close()
+
+        connection = sqlite3.connect(str(store.path))
+        assert connection.execute(
+            "PRAGMA integrity_check").fetchone()[0] == "ok"
+        connection.close()
 
 
 class TestLRUCacheStoreIntegration:
